@@ -12,7 +12,7 @@
 //
 // Everything is derived from ClientConfig::seed and simulated time, so
 // the generated stream — and therefore the engine trace hash — is
-// identical across host thread counts and processes.
+// identical across hosts and processes.
 #pragma once
 
 #include <cstdint>

@@ -16,7 +16,6 @@ void arm_lossy_plan(Config& cfg) {
 
 KvRunResult run_kv(const KvRunConfig& rc) {
   Config cfg = Config::with_nodes(rc.nodes, rc.mode);
-  cfg.machine.threads = rc.threads;
   cfg.lb.policy = rc.policy;
   // Mirrors the bench_loadbalance tuning: every served op costs CPU at
   // the owner, so that is the benefit of moving a hot bucket away.

@@ -279,7 +279,6 @@ void KvServer::handle_ttl(rt::Context& c, util::Buffer raw) {
   auto& eng = world_->engine();
   const auto it = st.ttl.find(key);
   if (it != st.ttl.end()) {
-    // Same lane that armed it, so the cancel is always legal.
     if (eng.cancel(it->second.timer)) st.metrics.ttl_cancelled++;
     st.ttl.erase(it);
   }

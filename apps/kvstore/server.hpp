@@ -18,12 +18,13 @@
 //
 // TTL expiry: entries with a TTL are registered at the bucket's HOME
 // node (a static property of the address, so arm/cancel messages from
-// any owner serialize on one lane), which arms a cancellable engine
+// any owner serialize at one node), which arms a cancellable engine
 // timer per live (bucket, key). Overwrites and deletes cancel the
 // timer; firing issues a version-guarded internal DEL through the
 // normal GAS path, so a concurrent re-PUT is never clobbered.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -118,13 +119,27 @@ class KvServer {
     std::uint32_t ver = 0;
   };
 
-  // Per-node server state, touched only from that node's lane.
+  // Byte-wise lexicographic order, the same order std::less gives. A
+  // plain loop: std::less inlines to a memcmp whose bound GCC 12 -O3
+  // cannot prove and rejects (stringop-overread).
+  struct KeyLess {
+    bool operator()(const std::vector<std::byte>& a,
+                    const std::vector<std::byte>& b) const {
+      const std::size_t n = std::min(a.size(), b.size());
+      for (std::size_t i = 0; i < n; ++i) {
+        if (a[i] != b[i]) return a[i] < b[i];
+      }
+      return a.size() < b.size();
+    }
+  };
+
+  // Per-node server state.
   struct NodeState {
     Metrics metrics;
     std::map<std::uint32_t, BucketLock> locks;
     // TTL registry for keys whose bucket is homed here, keyed by the
     // owned key bytes (deterministic lexicographic order).
-    std::map<std::vector<std::byte>, TtlEntry> ttl;
+    std::map<std::vector<std::byte>, TtlEntry, KeyLess> ttl;
   };
 
   [[nodiscard]] NodeState& state_of(int node) {

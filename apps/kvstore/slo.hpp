@@ -3,7 +3,7 @@
 // LatencyHistogram is a fixed-bucket log2 histogram with 16 linear
 // sub-buckets per power of two (HDR-style, ~6% relative quantile error),
 // all-integer and deterministic: the same completion stream produces the
-// same p50/p99/p999 on every host, thread count, and process. SloTracker
+// same p50/p99/p999 on every host and in every process. SloTracker
 // adds the time-windowed goodput series behind the
 // SLO-retention-under-churn metric, which extends the S-7 (bench_churn)
 // methodology from raw throughput retention to "requests served within
@@ -119,7 +119,7 @@ struct SloReport {
   double slo_retention = 1.0;
 };
 
-// One per edge node (lane-confined); merged host-side after the run.
+// One per edge node; merged host-side after the run.
 class SloTracker {
  public:
   SloTracker(sim::Time window_ns, sim::Time slo_target_ns)

@@ -15,18 +15,10 @@
 //   * gups_mix     — GUPS-shaped event chains: NIC gap / wire / DMA
 //                    constants with thousands of chains in flight.
 //
-// With -DNVGAS_PARALLEL=ON it additionally sweeps the conservative-
-// parallel sharded engine: a cross-lane message-chain workload over
-// --sweep-nodes lanes at --sweep-threads host threads, reporting
-// events/sec, speedup vs the threads=1 serial baseline and vs the
-// classic engine, and whether the trace hash matched serial (it must).
-// The host core count is recorded alongside so a 1-core CI box's flat
-// scaling numbers are not mistaken for a regression.
-//
-// Results land in BENCH_engine.json (cwd) for cross-PR tracking.
+// The host core count is recorded alongside the rates. Results land in
+// BENCH_engine.json (cwd) for cross-PR tracking.
 //
 // Usage: bench_engine [events_per_workload] [out.json]
-//                     [--sweep-nodes=16,64] [--sweep-threads=1,2,4,8]
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -206,112 +198,6 @@ struct Row {
   double heap;
 };
 
-// --- threads_scaling ------------------------------------------------------
-//
-// GUPS-shaped chains that actually cross lanes: gap on the origin lane,
-// wire hop to a partner lane via post(), remote DMA there, wire hop
-// back, completion. On an unsharded engine post() degrades to a plain
-// at(), so the identical workload doubles as the classic baseline.
-
-struct LaneChain {
-  sim::Engine* eng;
-  std::vector<std::uint64_t>* left;  // per-origin-lane remaining updates
-  std::uint32_t origin;
-  std::uint64_t state;
-  std::uint8_t stage;
-
-  void operator()() {
-    const std::uint32_t lanes =
-        eng->sharded() ? eng->shards() : 1;
-    switch (stage) {
-      case 0: {  // NIC gap, then go on the wire to a partner lane
-        state = state * kLcgMul + kLcgAdd;
-        const auto r = static_cast<std::uint32_t>(state >> 33);
-        const std::uint32_t dst =
-            lanes > 1 ? (origin + 1 + r % (lanes - 1)) % lanes : 0;
-        eng->post(dst, eng->now() + 540,
-                  LaneChain{eng, left, origin, state, 1});
-        break;
-      }
-      case 1:  // remote DMA
-        eng->after(200, LaneChain{eng, left, origin, state, 2});
-        break;
-      case 2:  // completion hops back to the origin lane
-        eng->post(origin, eng->now() + 500,
-                  LaneChain{eng, left, origin, state, 3});
-        break;
-      default: {  // next update (runs on the origin lane)
-        std::uint64_t& rem = (*left)[origin];
-        if (rem == 0) return;
-        --rem;
-        eng->after(100, LaneChain{eng, left, origin, state, 0});
-        break;
-      }
-    }
-  }
-};
-
-struct SweepResult {
-  double eps = 0;
-  std::uint64_t hash = 0;
-};
-
-// Run the cross-lane chain workload; threads == 0 uses the classic
-// single-queue engine (the no-sharding baseline), threads >= 1 the
-// sharded engine at that host thread count.
-SweepResult lane_chain_run(std::uint32_t nodes, int threads,
-                           std::uint64_t events) {
-  sim::Engine eng;
-  if (threads > 0) eng.configure_shards(nodes, /*lookahead=*/500, threads);
-  constexpr std::uint32_t kChainsPerLane = 64;
-  // ~6 events per update iteration across the chain stages.
-  const std::uint64_t per_lane =
-      events / (6ULL * nodes * kChainsPerLane) + 1;
-  std::vector<std::uint64_t> left(nodes, per_lane * kChainsPerLane);
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint32_t lane = 0; lane < nodes; ++lane) {
-    for (std::uint32_t c = 0; c < kChainsPerLane; ++c) {
-      const std::uint64_t seed0 =
-          0x9e3779b97f4a7c15ULL * (lane * kChainsPerLane + c + 1);
-      if (threads > 0) {
-        eng.at_shard(lane, c % 256, LaneChain{&eng, &left, lane, seed0, 0});
-      } else {
-        eng.at(static_cast<Time>(c % 256), LaneChain{&eng, &left, lane, seed0, 0});
-      }
-    }
-  }
-  eng.run();
-  const double dt = seconds_since(t0);
-  return {static_cast<double>(eng.events_executed()) / dt, eng.trace_hash()};
-}
-
-struct ScaleRow {
-  std::uint32_t nodes;
-  int threads;
-  double eps;
-  double vs_serial;   // vs threads=1 sharded, same node count
-  double vs_classic;  // vs the unsharded classic engine, same node count
-  bool hash_match;    // trace hash byte-identical to threads=1
-};
-
-std::vector<ScaleRow> threads_scaling(const std::vector<std::uint64_t>& nodes,
-                                      const std::vector<std::uint64_t>& threads,
-                                      std::uint64_t events) {
-  std::vector<ScaleRow> rows;
-  for (const std::uint64_t n64 : nodes) {
-    const auto n = static_cast<std::uint32_t>(n64);
-    const SweepResult classic = lane_chain_run(n, 0, events);
-    const SweepResult serial = lane_chain_run(n, 1, events);
-    for (const std::uint64_t t64 : threads) {
-      const int t = static_cast<int>(t64);
-      const SweepResult r = t == 1 ? serial : lane_chain_run(n, t, events);
-      rows.push_back({n, t, r.eps, r.eps / serial.eps, r.eps / classic.eps,
-                      r.hash == serial.hash});
-    }
-  }
-  return rows;
-}
-
 }  // namespace
 }  // namespace nvgas::bench
 
@@ -322,16 +208,9 @@ int main(int argc, char** argv) {
   const std::uint64_t events =
       !pos.empty() ? std::strtoull(pos[0].c_str(), nullptr, 10) : 2'000'000ULL;
   const std::string out = pos.size() > 1 ? pos[1] : "BENCH_engine.json";
-  const SweepSpec sweep =
-      parse_sweep(opt, {.modes = "all",
-                        .nodes = {16, 64},
-                        .threads = {1, 2, 4, 8}});
-  const auto& sweep_nodes = sweep.nodes;
-  const auto& sweep_threads = sweep.threads;
   if (events == 0) {
     std::fprintf(stderr,
                  "usage: %s [events_per_workload > 0] [out.json]\n"
-                 "       [--sweep-nodes=16,64] [--sweep-threads=1,2,4,8]\n"
                  "       (got \"%s\")\n",
                  argv[0], !pos.empty() ? pos[0].c_str() : "");
     return 2;
@@ -357,24 +236,6 @@ int main(int argc, char** argv) {
   }
 
   const unsigned host_cores = std::thread::hardware_concurrency();
-  std::vector<ScaleRow> scale;
-  if (nvgas::sim::Engine::kParallelEnabled) {
-    // Smaller per-cell budget: the sweep runs |nodes| x (|threads|+2)
-    // cells (each node count adds a classic and a serial baseline).
-    scale = threads_scaling(sweep_nodes, sweep_threads, events / 4);
-    std::printf("\nthreads_scaling (cross-lane chains, %u host core%s)\n",
-                host_cores, host_cores == 1 ? "" : "s");
-    std::printf("%6s %8s %14s %10s %11s %6s\n", "nodes", "threads", "ev/s",
-                "vs-serial", "vs-classic", "hash");
-    for (const ScaleRow& r : scale) {
-      std::printf("%6u %8d %14.0f %9.2fx %10.2fx %6s\n", r.nodes, r.threads,
-                  r.eps, r.vs_serial, r.vs_classic,
-                  r.hash_match ? "ok" : "DIFF");
-    }
-  } else {
-    std::printf("\nthreads_scaling skipped: built with NVGAS_PARALLEL=OFF\n");
-  }
-
   std::FILE* f = std::fopen(out.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", out.c_str());
@@ -392,28 +253,8 @@ int main(int argc, char** argv) {
                  rows[i].name, rows[i].wheel, rows[i].heap,
                  rows[i].wheel / rows[i].heap, i + 1 < n ? "," : "");
   }
-  std::fprintf(f, "  },\n  \"threads_scaling\": [\n");
-  for (std::size_t i = 0; i < scale.size(); ++i) {
-    const ScaleRow& r = scale[i];
-    std::fprintf(f,
-                 "    {\"nodes\": %u, \"threads\": %d, "
-                 "\"events_per_sec\": %.0f, \"speedup_vs_serial\": %.3f, "
-                 "\"speedup_vs_classic\": %.3f, \"hash_match\": %s}%s\n",
-                 r.nodes, r.threads, r.eps, r.vs_serial, r.vs_classic,
-                 r.hash_match ? "true" : "false",
-                 i + 1 < scale.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
+  std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", out.c_str());
-  for (const ScaleRow& r : scale) {
-    if (!r.hash_match) {
-      std::fprintf(stderr,
-                   "bench_engine: sharded trace hash diverged from the "
-                   "threads=1 baseline (nodes=%u threads=%d)\n",
-                   r.nodes, r.threads);
-      return 1;
-    }
-  }
   return 0;
 }

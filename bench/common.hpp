@@ -30,22 +30,7 @@ inline std::vector<GasMode> all_modes() {
   return {GasMode::kPgas, GasMode::kAgasSw, GasMode::kAgasNet};
 }
 
-// Shared --sweep-* axis parsing. Sweep harnesses accept the same flag
-// vocabulary (`--sweep-modes=pgas,agas-net|all`, `--sweep-nodes=16,64`,
-// `--sweep-threads=1,2,4`); each binary supplies its own defaults and
-// reads the axes it sweeps.
-struct SweepSpec {
-  std::vector<GasMode> modes;
-  std::vector<std::uint64_t> nodes;
-  std::vector<std::uint64_t> threads;
-};
-
-struct SweepDefaults {
-  std::string modes = "all";
-  std::vector<std::uint64_t> nodes;
-  std::vector<std::uint64_t> threads;
-};
-
+// `--sweep-modes=pgas,agas-net|all`: the GAS modes a sweep harness runs.
 inline std::vector<GasMode> parse_mode_list(const std::string& s) {
   if (s == "all") return all_modes();
   std::vector<GasMode> out;
@@ -59,15 +44,6 @@ inline std::vector<GasMode> parse_mode_list(const std::string& s) {
   }
   NVGAS_CHECK_MSG(!out.empty(), "empty --sweep-modes list");
   return out;
-}
-
-inline SweepSpec parse_sweep(const util::Options& opt,
-                             const SweepDefaults& def) {
-  SweepSpec s;
-  s.modes = parse_mode_list(opt.get("sweep-modes", def.modes));
-  s.nodes = opt.get_uint_list("sweep-nodes", def.nodes);
-  s.threads = opt.get_uint_list("sweep-threads", def.threads);
-  return s;
 }
 
 inline void print_header(const char* experiment, const char* what) {

@@ -45,9 +45,9 @@ AgasNet::AgasNet(sim::Fabric& fabric, net::EndpointGroup& endpoints,
   for (int n = 0; n < fabric.nodes(); ++n) {
     tlbs_.push_back(std::make_unique<net::NicTlb>(config_.tlb_capacity));
   }
-  // The home directory is the AGAS authoritative map, one per world;
-  // ROADMAP item 2 shards it by owner rather than shrinking it.
-  // protolint:allow(P4: world-level AGAS home directory, sharded by owner under ROADMAP item 2)
+  // The home directory is the AGAS authoritative map, one slot per
+  // home node; ROADMAP item 5 makes per-node state sparse.
+  // protolint:allow(P4: world-level AGAS home directory, one slot per home node; sparse per-peer state is ROADMAP item 5)
   homes_.resize(static_cast<std::size_t>(fabric.nodes()));
 }
 
@@ -55,11 +55,6 @@ gas::Gva AgasNet::alloc(sim::TaskCtx& task, int node, gas::Dist dist,
                         std::uint32_t nblocks, std::uint32_t block_size) {
   const gas::Gva base = GasBase::alloc(task, node, dist, nblocks, block_size);
   const gas::AllocMeta& m = heap_->meta_of(base);
-  auto& engine = fabric_->engine();
-  // Adopted (quiesced setup/teardown) contexts install directly like host
-  // context — every lane is idle, so cross-lane TLB writes are safe.
-  const bool sharded = engine.sharded() && engine.on_shard_context() &&
-                       !engine.on_adopted_context();
   for (std::uint32_t b = 0; b < nblocks; ++b) {
     const gas::Gva block = gas::Gva::make(m.dist, m.creator, m.id, b, 0);
     const int home = home_of(block);
@@ -68,17 +63,6 @@ gas::Gva AgasNet::alloc(sim::TaskCtx& task, int node, gas::Dist dist,
     e.base = heap_->initial_lva(block);
     e.generation = 0;
     e.pinned = true;  // home entries are authoritative and never evict
-    if (sharded && static_cast<std::uint32_t>(home) != engine.current_shard()) {
-      // A remote home's NIC TLB belongs to its own lane; install via
-      // post. The pinned entry always lands before any op can reach the
-      // home — an op needs a full wire flight, the post only a window
-      // boundary (and a GVA is only learnable by message).
-      engine.post(static_cast<std::uint32_t>(home), task.now(),
-                  [this, block, home, e] {
-                    NVGAS_CHECK(tlb_mut(home).insert(block.block_key(), e));
-                  });
-      continue;
-    }
     NVGAS_CHECK(tlb_mut(home).insert(block.block_key(), e));
   }
   return base;

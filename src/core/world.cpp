@@ -119,7 +119,7 @@ std::string World::report() const {
 
   util::Table globals("global counters (nonzero)");
   globals.columns({"counter", "value"});
-  const sim::Counters totals = self->fabric().counters_total();
+  const sim::Counters totals = self->fabric().counters();
   for (const auto& [name, value] : totals.items()) {
     if (value != 0) {
       globals.cell(name).cell(value).end_row();

@@ -43,10 +43,9 @@ class World {
   [[nodiscard]] sim::Fabric& fabric() { return *fabric_; }
   [[nodiscard]] sim::Engine& engine() { return fabric_->engine(); }
   [[nodiscard]] sim::Counters& counters() { return fabric_->counters(); }
-  // Aggregate across engine shards, deterministic at quiescence (equals
-  // counters() on the classic engine).
+  // Snapshot of the machine-wide counters (a copy of counters()).
   [[nodiscard]] sim::Counters counters_total() const {
-    return fabric_->counters_total();
+    return fabric_->counters();
   }
   [[nodiscard]] net::EndpointGroup& endpoints() { return *endpoints_; }
   [[nodiscard]] rt::Runtime& runtime() { return *runtime_; }

@@ -31,26 +31,9 @@ Gva AgasSw::alloc(sim::TaskCtx& task, int node, Dist dist,
   // Install the authoritative directory entries at each block's home as
   // part of the allocation collective.
   const AllocMeta& m = heap_->meta_of(base);
-  auto& engine = fabric_->engine();
-  // Adopted (quiesced setup/teardown) contexts install directly like host
-  // context: every lane is idle, and observers may read the directory
-  // before the engine runs again.
-  const bool sharded = engine.sharded() && engine.on_shard_context() &&
-                       !engine.on_adopted_context();
   for (std::uint32_t b = 0; b < nblocks; ++b) {
     const Gva block = Gva::make(m.dist, m.creator, m.id, b, 0);
     const int home = home_of_key(block);
-    if (sharded && static_cast<std::uint32_t>(home) != engine.current_shard()) {
-      // A remote home's directory belongs to its own lane; install via
-      // post. The entry always lands before any resolve request for it
-      // can arrive — a request needs a full wire flight, the post only
-      // a window boundary (and a GVA is only learnable by message).
-      engine.post(static_cast<std::uint32_t>(home), task.now(),
-                  [this, block, home, lva = heap_->initial_lva(block)] {
-                    st(home).dir.insert(block.block_key(), home, lva);
-                  });
-      continue;
-    }
     st(home).dir.insert(block.block_key(), home, heap_->initial_lva(block));
   }
   return base;
@@ -129,7 +112,7 @@ void AgasSw::handle_resolve_request(sim::TaskCtx& task, Gva block_base,
   ep(home).raw_send(
       task.now(), requester, kReplyBytes,
       [this, key, requester, entry](sim::Time arrived) {
-        fabric_->cpu(requester).submit_at(  // simlint:allow(D8: Cpu::submit_at routes via Engine::at_shard, the sanctioned cross-lane scheduling entry)
+        fabric_->cpu(requester).submit_at(
             arrived, [this, key, requester, entry](sim::TaskCtx& t2) {
               t2.charge(fabric_->params().cpu_recv_overhead_ns +
                         costs_.sw_cache_insert_ns);
@@ -284,7 +267,7 @@ void AgasSw::migrate(sim::TaskCtx& task, int node, Gva block, int dst,
   ep(node).raw_send(task.now(), home, kCtrlBytes,
                     [this, base, dst, node, home,
                      done = std::move(done)](sim::Time arrived) mutable {
-                      fabric_->cpu(home).submit_at(  // simlint:allow(D8: Cpu::submit_at routes via Engine::at_shard, the sanctioned cross-lane scheduling entry)
+                      fabric_->cpu(home).submit_at(
                           arrived, [this, base, dst, node,
                                     done = std::move(done)](sim::TaskCtx& t2) mutable {
                             t2.charge(fabric_->params().cpu_recv_overhead_ns);
@@ -347,7 +330,7 @@ void AgasSw::start_migration(sim::TaskCtx& task, Gva block_base, int dst,
     task.charge(ep(home).post_cost());
     ep(home).raw_send(
         task.now(), s, kCtrlBytes, [this, key, block_base, s, home](sim::Time arrived) {
-          fabric_->cpu(s).submit_at(arrived, [this, key, block_base, s,  // simlint:allow(D8: Cpu::submit_at routes via Engine::at_shard, the sanctioned cross-lane scheduling entry)
+          fabric_->cpu(s).submit_at(arrived, [this, key, block_base, s,
                                               home](sim::TaskCtx& t2) {
             t2.charge(fabric_->params().cpu_recv_overhead_ns +
                       costs_.invalidate_ns);
@@ -358,7 +341,7 @@ void AgasSw::start_migration(sim::TaskCtx& task, Gva block_base, int dst,
             auto send_ack = [this, block_base, s, home](sim::Time t) {
               ep(s).raw_send(t, home, kCtrlBytes,
                              [this, block_base, home](sim::Time arrived2) {
-                               fabric_->cpu(home).submit_at(  // simlint:allow(D8: Cpu::submit_at routes via Engine::at_shard, the sanctioned cross-lane scheduling entry)
+                               fabric_->cpu(home).submit_at(
                                    arrived2, [this, block_base](sim::TaskCtx& t3) {
                                      t3.charge(
                                          fabric_->params().cpu_recv_overhead_ns);
@@ -377,7 +360,7 @@ void AgasSw::start_migration(sim::TaskCtx& task, Gva block_base, int dst,
   }
   if (home_fence) {
     hs.fence_waiters[key].push_back([this, block_base, home](sim::Time t) {
-      fabric_->cpu(home).submit_at(t, [this, block_base](sim::TaskCtx& t2) {  // simlint:allow(D8: Cpu::submit_at routes via Engine::at_shard, the sanctioned cross-lane scheduling entry)
+      fabric_->cpu(home).submit_at(t, [this, block_base](sim::TaskCtx& t2) {
         migration_acked(t2, block_base);
       });
     });
@@ -408,15 +391,15 @@ void AgasSw::migration_alloc(sim::TaskCtx& task, Gva block_base) {
   ep(home).raw_send(
       task.now(), dst, kCtrlBytes, [this, key, block_base, dst, home,
                                     bsize](sim::Time arrived) {
-        fabric_->cpu(dst).submit_at(arrived, [this, key, block_base, dst, home,  // simlint:allow(D8: Cpu::submit_at routes via Engine::at_shard, the sanctioned cross-lane scheduling entry)
+        fabric_->cpu(dst).submit_at(arrived, [this, key, block_base, dst, home,
                                               bsize](sim::TaskCtx& t2) {
           t2.charge(fabric_->params().cpu_recv_overhead_ns +
                     costs_.alloc_block_ns);
-          const sim::Lva lva = heap_->store(dst).allocate(bsize);  // simlint:allow(D8: runs inside a dst-lane CPU task; the store is lane-local here, ShardSan-checked)
+          const sim::Lva lva = heap_->store(dst).allocate(bsize);
           t2.charge(ep(dst).post_cost());
           ep(dst).raw_send(t2.now(), home, kReplyBytes,
                            [this, key, block_base, lva, home](sim::Time arrived2) {
-                             fabric_->cpu(home).submit_at(  // simlint:allow(D8: Cpu::submit_at routes via Engine::at_shard, the sanctioned cross-lane scheduling entry)
+                             fabric_->cpu(home).submit_at(
                                  arrived2,
                                  [this, key, block_base, lva](sim::TaskCtx& t3) {
                                    t3.charge(
@@ -447,17 +430,17 @@ void AgasSw::migration_transfer(sim::TaskCtx& task, Gva block_base) {
       task.now(), owner, kCtrlBytes,
       [this, key, block_base, owner, dst, old_lva, dst_lva, bsize,
        home](sim::Time arrived) {
-        fabric_->cpu(owner).submit_at(arrived, [this, key, block_base, owner,  // simlint:allow(D8: Cpu::submit_at routes via Engine::at_shard, the sanctioned cross-lane scheduling entry)
+        fabric_->cpu(owner).submit_at(arrived, [this, key, block_base, owner,
                                                 dst, old_lva, dst_lva, bsize,
                                                 home](sim::TaskCtx& t2) {
           t2.charge(fabric_->params().cpu_recv_overhead_ns);
           t2.charge(fabric_->params().copy_time(bsize));
-          std::vector<std::byte> data = fabric_->mem(owner).read_vec(old_lva, bsize);  // simlint:allow(D8: runs inside an owner-lane CPU task reading its own memory)
+          std::vector<std::byte> data = fabric_->mem(owner).read_vec(old_lva, bsize);
           t2.charge(ep(owner).post_cost());
           ep(owner).put(
               t2.now(), dst, dst_lva, std::move(data),
               [this, key, block_base, owner, old_lva, bsize, home](sim::Time t3) {
-                heap_->store(owner).release(old_lva, bsize);  // simlint:allow(D8: put-completion ack is delivered on owner's lane; release is lane-local, ShardSan-checked)
+                heap_->store(owner).release(old_lva, bsize);
                 ep(owner).raw_send(
                     t3, home, kCtrlBytes, [this, key, block_base](sim::Time arrived2) {
                       fabric_->cpu(home_of_key(block_base))
@@ -511,7 +494,7 @@ void AgasSw::finish_migration(sim::TaskCtx& task, Gva block_base) {
     auto work = std::move(dit->second);
     hs.deferred.erase(dit);
     for (auto& w : work) {
-      fabric_->cpu(home).submit_at(  // simlint:allow(D8: Cpu::submit_at routes via Engine::at_shard, the sanctioned cross-lane scheduling entry)
+      fabric_->cpu(home).submit_at(
           task.now(), [w = std::move(w)](sim::TaskCtx& t2) mutable { w(t2); });
     }
   }

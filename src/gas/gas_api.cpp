@@ -36,7 +36,7 @@ std::pair<int, sim::Lva> GasBase::drop_block_state(Gva block_base) {
   return {heap_->home_of(block_base), heap_->initial_lva(block_base)};
 }
 
-void GasBase::free_alloc(sim::TaskCtx& task, int node, Gva base) {
+void GasBase::free_alloc(sim::TaskCtx& task, int /*node*/, Gva base) {
   const AllocMeta meta = heap_->meta_of(base);  // copy: released below
   // Cost model mirrors alloc: a collective round trip plus per-block
   // local heap work amortized across ranks.
@@ -45,31 +45,12 @@ void GasBase::free_alloc(sim::TaskCtx& task, int node, Gva base) {
       1, meta.nblocks / static_cast<std::uint32_t>(ranks()));
   task.charge(2 * p.wire_latency_ns + 2 * p.cpu_send_overhead_ns +
               blocks_here * costs_.alloc_block_ns);
-  auto& engine = fabric_->engine();
-  if (engine.sharded()) {
-    // drop_block_state walks authoritative translation state across ALL
-    // nodes' lanes, so under the sharded engine the teardown runs as a
-    // barrier event once every lane has passed the free's issue time.
-    // The collective free contract (no accesses in flight) makes the
-    // deferral invisible to the program.
-    engine.at_global(task.now(), static_cast<std::uint32_t>(node),
-                     [this, meta] { release_blocks(meta); });
-    return;
-  }
-  (void)node;
-  release_blocks(meta);
-}
-
-void GasBase::release_blocks(const AllocMeta& meta) {
-  // Collective-free teardown releases every block at its CURRENT owner —
-  // the free_alloc cross-lane exception in BlockStore's locking contract
-  // (the caller guarantees nothing is in flight; sharded mode further
-  // defers this to a quiesced barrier event).
-  NVGAS_SHARD_CROSS("free_alloc teardown (collective free contract)");
+  // Collective-free teardown releases every block at its CURRENT owner
+  // (the caller guarantees nothing is in flight).
   for (std::uint32_t b = 0; b < meta.nblocks; ++b) {
     const Gva block = Gva::make(meta.dist, meta.creator, meta.id, b, 0);
     const auto [owner, lva] = drop_block_state(block);
-    heap_->store(owner).release(lva, meta.block_size);  // simlint:allow(D8: free_alloc teardown under NVGAS_SHARD_CROSS — quiesced barrier / collective-free contract)
+    heap_->store(owner).release(lva, meta.block_size);
     if (observer_ != nullptr) observer_->on_free(block.block_key());
     if (access_observer_ != nullptr) {
       access_observer_->on_block_freed(block.block_key());
@@ -85,7 +66,7 @@ void GasBase::memcpy_gva(sim::TaskCtx& task, int node, Gva dst, Gva src,
   memget(task, node, src, len,
          [this, node, dst, done = std::move(done)](
              sim::Time t, std::vector<std::byte> data) mutable {
-           fabric_->cpu(node).submit_at(  // simlint:allow(D8: Cpu::submit_at routes via Engine::at_shard, the sanctioned cross-lane scheduling entry)
+           fabric_->cpu(node).submit_at(
                t, [this, node, dst, data = std::move(data),
                    done = std::move(done)](sim::TaskCtx& t2) mutable {
                  memput(t2, node, dst, std::move(data), std::move(done));
@@ -97,20 +78,20 @@ void GasBase::local_put(sim::TaskCtx& task, int node, sim::Lva lva,
                         std::span<const std::byte> data,
                         const net::OnDone& done) {
   task.charge(fabric_->params().copy_time(data.size()));
-  fabric_->mem(node).write(lva, data);  // simlint:allow(D8: node is the calling task's own rank — local access path)
+  fabric_->mem(node).write(lva, data);
   if (done) done(task.now());
 }
 
 void GasBase::local_get(sim::TaskCtx& task, int node, sim::Lva lva,
                         std::size_t len, const net::OnData& done) {
   task.charge(fabric_->params().copy_time(len));
-  if (done) done(task.now(), fabric_->mem(node).read_vec(lva, len));  // simlint:allow(D8: node is the calling task's own rank — local access path)
+  if (done) done(task.now(), fabric_->mem(node).read_vec(lva, len));
 }
 
 void GasBase::local_fadd(sim::TaskCtx& task, int node, sim::Lva lva,
                          std::uint64_t operand, const net::OnU64& done) {
   task.charge(fabric_->params().nic_atomic_ns);
-  const auto old = fabric_->mem(node).fetch_add_u64(lva, operand);  // simlint:allow(D8: node is the calling task's own rank — local access path)
+  const auto old = fabric_->mem(node).fetch_add_u64(lva, operand);
   if (done) done(task.now(), old);
 }
 

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -63,24 +62,12 @@ class GlobalHeap {
  private:
   sim::Fabric* fabric_;
   std::vector<std::unique_ptr<BlockStore>> stores_;
-  // Metadata is the one structure every lane reads (translation) while
-  // any lane may insert (alloc from its creator's fiber), so it is
-  // mutex-guarded under the sharded engine; uncontended single-lock
-  // cost on the classic engine. Lock order: mu_ is a leaf (nothing is
-  // called while holding it).
-  mutable std::mutex mu_;
   // simlint:allow(D1: keyed find only, never iterated)
   std::unordered_map<std::uint32_t, AllocMeta> metas_;
   // block_key -> initial lva at the home node.
   // simlint:allow(D1: keyed find/erase only, never iterated)
   std::unordered_map<std::uint64_t, sim::Lva> initial_;
   std::uint32_t next_alloc_id_ = 1;
-  // Sharded engine: ids are partitioned by creator (id = k·ranks +
-  // creator + 1) so the id sequence per creator — and with it every
-  // home assignment derived from Gva bits — is invariant under the
-  // host thread count. Empty on the classic engine, whose global
-  // sequence stays byte-identical to previous builds.
-  std::vector<std::uint64_t> alloc_counts_;
 };
 
 }  // namespace nvgas::gas

@@ -11,12 +11,11 @@ Balancer::Balancer(sim::Fabric& fabric, gas::GasBase& gas, const LbConfig& cfg)
     : fabric_(&fabric),
       gas_(&gas),
       cfg_(cfg),
-      // protolint:allow(P4: coordinator-resident heat table, one per world; sparse per-source rows are the ROADMAP item 2 follow-up)
+      // protolint:allow(P4: coordinator-resident heat table, one per world; sparse per-source rows are the ROADMAP item 5 follow-up)
       heat_(fabric.nodes()),
       policy_(make_policy(cfg.policy)) {
   NVGAS_CHECK(cfg_.coordinator >= 0 && cfg_.coordinator < fabric.nodes());
   NVGAS_CHECK(cfg_.max_inflight > 0);
-  NVGAS_SHARD_BIND(heat_, cfg_.coordinator, &fabric.engine());
   active_ = gas.supports_migration() && cfg_.policy != PolicyKind::kNone;
   if (active_) gas_->set_access_observer(this);
 }
@@ -26,43 +25,16 @@ Balancer::~Balancer() {
 }
 
 void Balancer::on_local_access(int node, std::uint64_t block_key) {
-  // Sharded engine: GasBase::note_access delivers these on the block's
-  // home lane, but all balancer state lives on the coordinator's lane —
-  // hop there (deterministic drain order keeps heat accumulation
-  // thread-count-invariant).
-  auto& e = fabric_->engine();
-  if (e.sharded() && e.on_shard_context() && !e.on_adopted_context() &&
-      e.current_shard(0) != static_cast<std::uint32_t>(cfg_.coordinator)) {
-    e.post(static_cast<std::uint32_t>(cfg_.coordinator), e.now(),
-           [this, node, block_key] { on_local_access(node, block_key); });
-    return;
-  }
-  // Classic-mode coordinator hop: heat state and the tick timer live on
-  // the coordinator's lane — the handoff the sharded branch posts above.
-  NVGAS_SHARD_HOP(&e, cfg_.coordinator);
   heat_.on_local_access(node, block_key);
   arm();
 }
 
 void Balancer::on_remote_access(int node, std::uint64_t block_key) {
-  auto& e = fabric_->engine();
-  if (e.sharded() && e.on_shard_context() && !e.on_adopted_context() &&
-      e.current_shard(0) != static_cast<std::uint32_t>(cfg_.coordinator)) {
-    e.post(static_cast<std::uint32_t>(cfg_.coordinator), e.now(),
-           [this, node, block_key] { on_remote_access(node, block_key); });
-    return;
-  }
-  NVGAS_SHARD_HOP(&e, cfg_.coordinator);
   heat_.on_remote_access(node, block_key);
   arm();
 }
 
 void Balancer::on_block_freed(std::uint64_t block_key) {
-  // Only reached inline (classic) or from the free_alloc barrier event
-  // (sharded), where every lane is quiesced — no routing needed. The
-  // classic inline call still runs in the freeing node's context, so hop
-  // to the coordinator for attribution.
-  NVGAS_SHARD_HOP(&fabric_->engine(), cfg_.coordinator);
   heat_.on_block_freed(block_key);
   backoff_.erase(block_key);
 }
@@ -76,35 +48,10 @@ void Balancer::set_enabled(bool on) {
 void Balancer::arm() {
   if (armed_ || !enabled_ || !active_) return;
   armed_ = true;
-  auto& e = fabric_->engine();
-  if (e.sharded()) {
-    // The tick timer (and everything it touches before taking the global
-    // barrier) must live on the coordinator's lane, wherever arm() was
-    // called from — an adopted setup context pins `after` to the caller's
-    // own lane, which may not be the coordinator's.
-    e.at_shard(static_cast<std::uint32_t>(cfg_.coordinator),
-               e.now() + cfg_.epoch_ns, [this] { tick(); });
-    return;
-  }
-  e.after(cfg_.epoch_ns, [this] { tick(); });
+  fabric_->engine().after(cfg_.epoch_ns, [this] { tick(); });
 }
 
 void Balancer::tick() {
-  auto& engine = fabric_->engine();
-  if (engine.sharded()) {
-    // Placement reads span every home's lane: take the whole decision
-    // at a global barrier (all state checks included, so nothing of the
-    // balancer's is touched from whichever lane fired this timer).
-    engine.at_global(engine.now(),
-                     static_cast<std::uint32_t>(cfg_.coordinator), [this] {
-                       if (!enabled_ || !active_) {
-                         armed_ = false;
-                         return;
-                       }
-                       epoch_sharded();
-                     });
-    return;
-  }
   if (!enabled_ || !active_) {
     armed_ = false;
     return;
@@ -124,7 +71,7 @@ void Balancer::snapshot_placement(std::uint64_t epoch_idx) {
   snap_.ranks = ranks;
   snap_.epoch = epoch_idx;
   snap_.blocks.clear();
-  // protolint:allow(P4: coordinator-only aggregate rebuilt per epoch; ROADMAP item 2 keeps it on the single coordinator)
+  // protolint:allow(P4: coordinator-only aggregate rebuilt per epoch; ROADMAP item 5 keeps it on the single coordinator)
   snap_.node_load.assign(static_cast<std::size_t>(ranks), 0);
   for (const BlockHeat& v : views_) {
     const int owner = gas_->owner_of(gas::Gva(v.key)).first;
@@ -175,67 +122,6 @@ void Balancer::epoch(sim::TaskCtx& task) {
   last_accesses_ = seen_before;
 }
 
-void Balancer::epoch_sharded() {
-  const std::uint64_t epoch_idx = epochs_++;
-  ++fabric_->counters().lb_epochs;
-  const std::uint64_t seen_before = heat_.accesses();
-
-  snapshot_placement(epoch_idx);  // owner_of is safe: barrier context
-  plan_.clear();
-  policy_->plan(snap_, cfg_, plan_);
-
-  // Vet the plan and take the bookkeeping here, where placement state is
-  // stable; the actual migrations are issued from one coordinator CPU
-  // task so the decision cost charges exactly as on the classic path.
-  auto moves = std::make_shared<std::vector<Move>>();
-  for (const Move& m : plan_) {
-    if (inflight_ >= cfg_.max_inflight) {
-      ++fabric_->counters().lb_throttled;
-      continue;
-    }
-    const std::uint32_t block_size =
-        gas_->heap().meta_of(gas::Gva(m.key)).block_size;
-    if (!profitable(m.heat, block_size)) {
-      ++rejected_cost_;
-      ++fabric_->counters().lb_rejected_cost;
-      continue;
-    }
-    if (gas_->owner_of(gas::Gva(m.key)).first == m.dst) continue;  // already there
-    ++inflight_;
-    peak_inflight_ = std::max(peak_inflight_, inflight_);
-    inflight_keys_.insert(m.key);
-    ++migrations_;
-    ++fabric_->counters().lb_migrations;
-    policy_->on_moved(m.key, epoch_idx);
-    if (gas::InvariantObserver* obs = gas_->observer()) {
-      obs->on_balancer_migrate_issued(m.key);
-    }
-    moves->push_back(m);
-  }
-
-  const sim::Time decide =
-      cfg_.decide_base_ns +
-      cfg_.decide_per_block_ns * static_cast<sim::Time>(snap_.blocks.size());
-  fabric_->cpu(cfg_.coordinator)
-      .submit_at(fabric_->engine().now(),
-                 [this, moves, decide](sim::TaskCtx& t) {
-                   t.charge(decide);
-                   for (const Move& m : *moves) {
-                     gas_->migrate(t, cfg_.coordinator, gas::Gva(m.key), m.dst,
-                                   [this, key = m.key, dst = m.dst](sim::Time) {
-                                     on_migrate_done(key, dst);
-                                   });
-                   }
-                 });
-
-  if (seen_before != last_accesses_ || inflight_ > 0) {
-    fabric_->engine().after(cfg_.epoch_ns, [this] { tick(); });
-  } else {
-    armed_ = false;
-  }
-  last_accesses_ = seen_before;
-}
-
 void Balancer::issue(sim::TaskCtx& task, const Move& m,
                      std::uint64_t epoch_idx) {
   const gas::Gva block(m.key);
@@ -262,19 +148,6 @@ void Balancer::on_migrate_done(std::uint64_t key, int dst) {
   if (gas::InvariantObserver* obs = gas_->observer()) {
     obs->on_balancer_migrate_done(key);
   }
-  auto& engine = fabric_->engine();
-  if (engine.sharded()) {
-    // The bounce check reads the block's authoritative owner, which
-    // lives on a foreign home's lane — take it at a barrier.
-    engine.at_global(engine.now(),
-                     static_cast<std::uint32_t>(cfg_.coordinator),
-                     [this, key, dst] { settle_bounce(key, dst); });
-    return;
-  }
-  settle_bounce(key, dst);
-}
-
-void Balancer::settle_bounce(std::uint64_t key, int dst) {
   if (!gas_->heap().contains(gas::Gva(key))) return;  // freed while settling
   if (gas_->owner_of(gas::Gva(key)).first != dst) {
     // Bounced: a competing migration moved the block after ours

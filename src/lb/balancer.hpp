@@ -84,18 +84,11 @@ class Balancer final : public gas::AccessObserver {
   void arm();
   void tick();
   void epoch(sim::TaskCtx& task);
-  // Sharded-engine epoch body: runs as an Engine::at_global barrier
-  // event (placement reads span every home's lane), then issues the
-  // vetted moves from one coordinator CPU task so costs charge as in
-  // the classic path.
-  void epoch_sharded();
-  // Decay + snapshot + placement read shared by both epoch variants.
+  // Decay + snapshot + placement read at the start of an epoch.
   void snapshot_placement(std::uint64_t epoch_idx);
   void issue(sim::TaskCtx& task, const Move& move, std::uint64_t epoch_idx);
+  // Bookkeeping plus bounce detection after a completed migration.
   void on_migrate_done(std::uint64_t key, int dst);
-  // Bounce detection after a completed migration (reads owner_of; runs
-  // at a barrier under the sharded engine).
-  void settle_bounce(std::uint64_t key, int dst);
 
   sim::Fabric* fabric_;
   gas::GasBase* gas_;

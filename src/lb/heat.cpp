@@ -8,14 +8,13 @@ namespace nvgas::lb {
 
 void HeatMap::record(int node, std::uint64_t block_key) {
   NVGAS_DCHECK(node >= 0 && node < ranks_);
-  NVGAS_SHARD_GUARD_MEMBER("lb heat entries");
   ++accesses_;
   auto [it, inserted] = index_.try_emplace(block_key, 0);
   if (inserted) {
     if (free_.empty()) {
       it->second = static_cast<std::uint32_t>(pool_.size());
       pool_.emplace_back();
-      // protolint:allow(P4: dense per-source heat row, the canonical O(P) site; ROADMAP item 2 replaces it with sparse top-k rows over active sources)
+      // protolint:allow(P4: dense per-source heat row, the canonical O(P) site; ROADMAP item 5 replaces it with sparse top-k rows over active sources)
       pool_.back().by_node.assign(static_cast<std::size_t>(ranks_), 0);
     } else {
       it->second = free_.back();
@@ -29,7 +28,6 @@ void HeatMap::record(int node, std::uint64_t block_key) {
 }
 
 void HeatMap::decay(std::uint32_t shift) {
-  NVGAS_SHARD_GUARD_MEMBER("lb heat entries");
   if (shift == 0) return;
   for (auto it = index_.begin(); it != index_.end();) {
     Entry& e = pool_[it->second];
@@ -61,7 +59,6 @@ std::uint64_t HeatMap::heat_of(std::uint64_t block_key) const {
 }
 
 void HeatMap::on_block_freed(std::uint64_t block_key) {
-  NVGAS_SHARD_GUARD_MEMBER("lb heat entries");
   const auto it = index_.find(block_key);
   if (it == index_.end()) return;
   Entry& e = pool_[it->second];

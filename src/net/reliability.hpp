@@ -78,26 +78,9 @@ class Reliability {
   // stored payload closure for `seq` toward `dst` and run it at time t.
   void deliver_payload(sim::Time t, int dst, std::uint64_t seq);
 
-  // Sharded-aware accept path: on the classic engine this IS
-  // deliver_payload; on the sharded engine the sender's window state
-  // belongs to the sender's lane, so the consume hops there via
-  // Engine::post and the moved-out payload hops back to execute on the
-  // consumer's lane. Drain order guarantees the consume lands before
-  // the cumulative ack that covers `seq` (the ack needs a full wire
-  // flight plus rx occupancy; the consume only a window boundary), so
-  // process_ack still finds the slot delivered.
-  void consume_payload(sim::Time t, int consumer, std::uint64_t seq);
-
   [[nodiscard]] int node() const { return node_; }
   // Frames sent but not yet cumulatively acked, across all channels.
   [[nodiscard]] std::uint64_t unacked() const;
-
-#if NVGAS_SHARDSAN
-  // Death-test hook: re-arm the oldest unacked slot's retransmit timer
-  // from the CALLER's context, modeling a buggy cross-lane caller arming
-  // an RTO on the wrong lane; ShardSan must abort. Tests only.
-  void shardsan_rearm_oldest_rto(int dst);
-#endif
 
 #ifdef NVGAS_SIMSAN
   // Death-test hook: cancel the oldest unacked slot's armed retransmit

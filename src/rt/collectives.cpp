@@ -15,7 +15,7 @@ std::vector<int> Collectives::tree_children(int rank, int ranks) {
 }
 
 Collectives::Collectives(Runtime& rt, CollAlgo algo) : rt_(rt), algo_(algo) {
-  // protolint:allow(P4: world-level array of per-rank collective slots; tree algorithms already bound fan-in, root aggregation is ROADMAP item 2)
+  // protolint:allow(P4: world-level array of per-rank collective slots; tree algorithms already bound fan-in, root aggregation is ROADMAP item 5)
   nodes_.resize(static_cast<std::size_t>(rt.nodes()));
   auto& reg = rt_.actions();
   const int ranks = rt_.nodes();

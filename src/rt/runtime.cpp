@@ -12,15 +12,6 @@ CurrentTaskScope::CurrentTaskScope(Runtime& rt, sim::TaskCtx& task)
 }
 CurrentTaskScope::~CurrentTaskScope() { rt_.set_current(node_, prev_); }
 
-bool Runtime::needs_route(int node) const {
-  // Adopted (quiesced setup/teardown) contexts reach any node's state
-  // directly, like host context — Cpu::submit re-adopts the target lane.
-  auto& engine = fabric_->engine();
-  return engine.sharded() && engine.on_shard_context() &&
-         !engine.on_adopted_context() &&
-         engine.current_shard(0) != static_cast<std::uint32_t>(node);
-}
-
 Runtime::Runtime(sim::Fabric& fabric, net::EndpointGroup& endpoints,
                  RtCosts costs)
     : fabric_(&fabric), endpoints_(&endpoints), costs_(costs) {
@@ -48,15 +39,6 @@ Runtime::Runtime(sim::Fabric& fabric, net::EndpointGroup& endpoints,
 
 void Runtime::spawn_at(int node, sim::Time not_before,
                        std::function<Fiber(Context&)> fn) {
-  if (needs_route(node)) {
-    // Cross-shard spawn: the target node's fiber state belongs to its
-    // lane. Re-enter there (submit_at clamps a stale not_before).
-    fabric_->engine().post(static_cast<std::uint32_t>(node), not_before,
-                           [this, node, not_before, fn = std::move(fn)]() mutable {
-                             spawn_at(node, not_before, std::move(fn));
-                           });
-    return;
-  }
   // Retain the closure until the fiber completes; the coroutine frame
   // references it rather than copying it.
   auto& st = states_.at(static_cast<std::size_t>(node));
@@ -78,14 +60,10 @@ void Runtime::spawn_at(int node, sim::Time not_before,
 
 void Runtime::fiber_finished(int node, std::uint64_t slot) {
   // Defer: the completing fiber may still be executing inside the very
-  // std::function we are about to destroy. The erase rides a post() to
-  // the node's own lane (≡ after(0) on the classic engine), because the
-  // completing segment may be a resume submitted from another lane.
-  auto& engine = fabric_->engine();
-  engine.post(engine.sharded() ? static_cast<std::uint32_t>(node) : 0u, 0,
-              [this, node, slot] {
-                states_.at(static_cast<std::size_t>(node)).spawned.erase(slot);
-              });
+  // std::function we are about to destroy.
+  fabric_->engine().after(0, [this, node, slot] {
+    states_.at(static_cast<std::size_t>(node)).spawned.erase(slot);
+  });
 }
 
 void Runtime::send_parcel_at(int src, sim::Time depart, int dst,
@@ -98,14 +76,6 @@ void Runtime::send_parcel_at(int src, sim::Time depart, int dst,
 
 void Runtime::invoke_action_at(int node, sim::Time t, ActionId action, int src,
                                util::Buffer args) {
-  if (needs_route(node)) {
-    fabric_->engine().post(
-        static_cast<std::uint32_t>(node), t,
-        [this, node, t, action, src, args = std::move(args)]() mutable {
-          invoke_action_at(node, t, action, src, std::move(args));
-        });
-    return;
-  }
   fabric_->cpu(node).submit_at(
       t, [this, node, action, src, args = std::move(args)](sim::TaskCtx& tctx) mutable {
         CurrentTaskScope scope(*this, tctx);
@@ -137,13 +107,6 @@ LcoRef Runtime::register_lco(int node, LcoBase& lco) {
 }
 
 void Runtime::ledger_set(LcoRef ref, sim::Time t) {
-  if (needs_route(ref.node)) {
-    // Ledger delivery from a foreign lane (e.g. a remote-completion
-    // notify running at the data's owner): hop to the LCO's home lane.
-    fabric_->engine().post(static_cast<std::uint32_t>(ref.node), t,
-                           [this, ref, t] { ledger_set(ref, t); });
-    return;
-  }
   LcoBase* lco = find_lco(ref.node, ref.id);
   NVGAS_CHECK_MSG(lco != nullptr, "ledger_set for unknown LCO");
   util::Buffer empty;
@@ -162,13 +125,6 @@ void Runtime::release_lco(int node, std::uint64_t id) {
 }
 
 void Runtime::resume_fiber_at(int node, Fiber::Handle h, sim::Time not_before) {
-  if (needs_route(node)) {
-    fabric_->engine().post(static_cast<std::uint32_t>(node), not_before,
-                           [this, node, h, not_before] {
-                             resume_fiber_at(node, h, not_before);
-                           });
-    return;
-  }
   fabric_->cpu(node).submit_at(not_before, [this, h](sim::TaskCtx& tctx) {
     CurrentTaskScope scope(*this, tctx);
     tctx.charge(costs_.fiber_resume_ns);

@@ -18,17 +18,6 @@ std::size_t Cpu::earliest_worker() const {
 
 void Cpu::submit(Task fn) {
   queue_.push_back(std::move(fn));
-  if (engine_.sharded() &&
-      (!engine_.on_shard_context() || engine_.on_adopted_context())) {
-    // Host-context submission (run_spmd setup / quiesced teardown), or a
-    // nested submit from another node's adopted context: run the task in
-    // this node's lane context so every event it schedules — NIC
-    // loopbacks, RTO timers, completion wakeups — lands on the lane that
-    // owns this node's state, not the host fallback lane.
-    Engine::ShardContext scope(engine_, lane());
-    pump();
-    return;
-  }
   pump();
 }
 
@@ -74,7 +63,7 @@ void Cpu::submit_at(Time t, Task fn) {
     return;
   }
   const std::int32_t idx = park_delayed(std::move(fn));
-  engine_.at_shard(lane(), t, [this, idx] { submit(unpark_delayed(idx)); });
+  engine_.at(t, [this, idx] { submit(unpark_delayed(idx)); });
 }
 
 void Cpu::pump() {
@@ -95,7 +84,7 @@ void Cpu::pump() {
       if (!wake_scheduled_ || wake_at_ > start) {
         wake_scheduled_ = true;
         wake_at_ = start;
-        engine_.at_shard(lane(), start, [this] {
+        engine_.at(start, [this] {
           wake_scheduled_ = false;
           pump();
         });
@@ -105,17 +94,7 @@ void Cpu::pump() {
     Task fn = std::move(queue_.front());
     queue_.pop_front();
     TaskCtx ctx(*this, start);
-    {
-#if NVGAS_SHARDSAN
-      // Attribution root: tasks are node-local, so everything a task does
-      // (and every event chain it schedules) logically belongs to this
-      // node's lane — in classic mode too, which is what makes ownership
-      // violations detectable on a single-threaded run.
-      shardsan::ExecScope ss_scope(&engine_, static_cast<std::uint32_t>(node_),
-                                   start);
-#endif
-      fn(ctx);
-    }
+    fn(ctx);
     avail_[w] = start + ctx.charged();
     if (trace_ != nullptr) {
       trace_->record(start, TraceEvent::kCpuTask, node_, -1, ctx.charged());

@@ -7,74 +7,35 @@
 
 namespace nvgas::sim {
 
-// simlint:allow(D7: host-thread execution context, one copy per host thread, never shared across shards)
-thread_local Engine* Engine::tl_engine = nullptr;
-// simlint:allow(D7: host-thread execution context, one copy per host thread, never shared across shards)
-thread_local std::uint32_t Engine::tl_lane = 0;
-// simlint:allow(D7: host-thread execution context, one copy per host thread, never shared across shards)
-thread_local bool Engine::tl_adopted = false;
-
-namespace {
-// Restore the host thread's previous execution context on scope exit, so
-// nested engines (a World built inside another World's event) unwind
-// correctly.
-struct LaneScope {
-  LaneScope(Engine** eng_slot, std::uint32_t* lane_slot, Engine* eng,
-            std::uint32_t lane)
-      : eng_slot_(eng_slot),
-        lane_slot_(lane_slot),
-        prev_eng_(*eng_slot),
-        prev_lane_(*lane_slot) {
-    *eng_slot_ = eng;
-    *lane_slot_ = lane;
-  }
-  ~LaneScope() {
-    *eng_slot_ = prev_eng_;
-    *lane_slot_ = prev_lane_;
-  }
-  LaneScope(const LaneScope&) = delete;
-  LaneScope& operator=(const LaneScope&) = delete;
-
- private:
-  Engine** eng_slot_;
-  std::uint32_t* lane_slot_;
-  Engine* prev_eng_;
-  std::uint32_t prev_lane_;
-};
-}  // namespace
-
-// ---- Lane: one complete event queue ---------------------------------------
-
-void Engine::Lane::init(Time horizon_ns, std::uint32_t nshards) {
+Engine::Engine(Time horizon_ns) {
   // At least 1024 slots so the occupancy bitmaps have whole words to
   // work with; the default 64 µs horizon is 65536 slots (one per ns).
   const Time clamped = std::max<Time>(horizon_ns, 1024);
-  slots = static_cast<std::uint32_t>(util::ceil_pow2(clamped));
-  mask = slots - 1;
-  bucket_head.assign(slots, -1);
-  bucket_tail.assign(slots, -1);
-  occ.assign(slots / 64, 0);
-  occ_sum.assign((slots / 64 + 63) / 64, 0);
-  out.resize(nshards);
+  slots_ = static_cast<std::uint32_t>(util::ceil_pow2(clamped));
+  mask_ = slots_ - 1;
+  bucket_head_.assign(slots_, -1);
+  bucket_tail_.assign(slots_, -1);
+  occ_.assign(slots_ / 64, 0);
+  occ_sum_.assign((slots_ / 64 + 63) / 64, 0);
 }
 
 #ifdef NVGAS_SIMSAN
 // Canary + lifecycle audit on every pool transition. `seq` doubles as
 // the generation tag: it is unique per schedule() and never reused, so
 // a stale TimerId can never match a recycled-and-reused node.
-void Engine::Lane::simsan_audit(const EventNode& n, const char* site) const {
+void Engine::simsan_audit(const EventNode& n, const char* site) const {
   if (n.canary_pre != kSimsanCanary || n.canary_post != kSimsanCanary) {
     util::panic(__FILE__, __LINE__, site);
   }
 }
 #endif
 
-std::int32_t Engine::Lane::alloc_node() {
-  if (free_head >= 0) {
-    const std::int32_t idx = free_head;
-    free_head = pool[static_cast<std::size_t>(idx)].next;
+std::int32_t Engine::alloc_node() {
+  if (free_head_ >= 0) {
+    const std::int32_t idx = free_head_;
+    free_head_ = pool_[static_cast<std::size_t>(idx)].next;
 #ifdef NVGAS_SIMSAN
-    const EventNode& n = pool[static_cast<std::size_t>(idx)];
+    const EventNode& n = pool_[static_cast<std::size_t>(idx)];
     simsan_audit(n, "SimSan: canary smashed on free-list node (alloc)");
     NVGAS_CHECK_MSG(!n.live, "SimSan: free list holds a live event node");
     NVGAS_CHECK_MSG(n.fn.is_poisoned(),
@@ -82,12 +43,12 @@ std::int32_t Engine::Lane::alloc_node() {
 #endif
     return idx;
   }
-  pool.emplace_back();
-  return static_cast<std::int32_t>(pool.size() - 1);
+  pool_.emplace_back();
+  return static_cast<std::int32_t>(pool_.size() - 1);
 }
 
-void Engine::Lane::recycle(std::int32_t idx) {
-  EventNode& n = pool[static_cast<std::size_t>(idx)];
+void Engine::recycle(std::int32_t idx) {
+  EventNode& n = pool_[static_cast<std::size_t>(idx)];
 #ifdef NVGAS_SIMSAN
   simsan_audit(n, "SimSan: canary smashed on event node (recycle)");
   NVGAS_CHECK_MSG(n.live, "SimSan: double recycle of event node");
@@ -96,54 +57,53 @@ void Engine::Lane::recycle(std::int32_t idx) {
   n.fn.reset();
 #endif
   n.live = false;
-  n.next = free_head;
-  free_head = idx;
+  n.next = free_head_;
+  free_head_ = idx;
 }
 
-void Engine::Lane::set_bit(std::uint32_t slot) {
-  occ[slot >> 6] |= 1ULL << (slot & 63);
-  occ_sum[slot >> 12] |= 1ULL << ((slot >> 6) & 63);
+void Engine::set_bit(std::uint32_t slot) {
+  occ_[slot >> 6] |= 1ULL << (slot & 63);
+  occ_sum_[slot >> 12] |= 1ULL << ((slot >> 6) & 63);
 }
 
-void Engine::Lane::clear_bit(std::uint32_t slot) {
-  occ[slot >> 6] &= ~(1ULL << (slot & 63));
-  if (occ[slot >> 6] == 0) {
-    occ_sum[slot >> 12] &= ~(1ULL << ((slot >> 6) & 63));
+void Engine::clear_bit(std::uint32_t slot) {
+  occ_[slot >> 6] &= ~(1ULL << (slot & 63));
+  if (occ_[slot >> 6] == 0) {
+    occ_sum_[slot >> 12] &= ~(1ULL << ((slot >> 6) & 63));
   }
 }
 
-void Engine::Lane::push_bucket(std::int32_t idx) {
-  EventNode& n = pool[static_cast<std::size_t>(idx)];
-  const auto slot = static_cast<std::uint32_t>(n.at & mask);
+void Engine::push_bucket(std::int32_t idx) {
+  EventNode& n = pool_[static_cast<std::size_t>(idx)];
+  const auto slot = static_cast<std::uint32_t>(n.at & mask_);
   n.next = -1;
-  if (bucket_head[slot] < 0) {
-    bucket_head[slot] = idx;
-    bucket_tail[slot] = idx;
+  if (bucket_head_[slot] < 0) {
+    bucket_head_[slot] = idx;
+    bucket_tail_[slot] = idx;
     set_bit(slot);
   } else {
-    pool[static_cast<std::size_t>(bucket_tail[slot])].next = idx;
-    bucket_tail[slot] = idx;
+    pool_[static_cast<std::size_t>(bucket_tail_[slot])].next = idx;
+    bucket_tail_[slot] = idx;
   }
-  ++wheel_count;
+  ++wheel_count_;
 }
 
-void Engine::Lane::remove_bucket_head(std::uint32_t slot) {
-  const std::int32_t idx = bucket_head[slot];
+void Engine::remove_bucket_head(std::uint32_t slot) {
+  const std::int32_t idx = bucket_head_[slot];
   NVGAS_DCHECK(idx >= 0);
-  bucket_head[slot] = pool[static_cast<std::size_t>(idx)].next;
-  if (bucket_head[slot] < 0) {
-    bucket_tail[slot] = -1;
+  bucket_head_[slot] = pool_[static_cast<std::size_t>(idx)].next;
+  if (bucket_head_[slot] < 0) {
+    bucket_tail_[slot] = -1;
     clear_bit(slot);
   }
-  --wheel_count;
+  --wheel_count_;
 }
 
-std::int32_t Engine::Lane::scan_range(std::uint32_t from,
-                                      std::uint32_t end) const {
+std::int32_t Engine::scan_range(std::uint32_t from, std::uint32_t end) const {
   if (from >= end) return -1;
   std::uint32_t w = from >> 6;
   const std::uint32_t end_w = (end + 63) >> 6;
-  std::uint64_t word = occ[w] & (~0ULL << (from & 63));
+  std::uint64_t word = occ_[w] & (~0ULL << (from & 63));
   while (true) {
     if (word != 0) {
       const auto s =
@@ -154,70 +114,68 @@ std::int32_t Engine::Lane::scan_range(std::uint32_t from,
     if (w >= end_w) return -1;
     // Jump over runs of empty words through the summary bitmap.
     std::uint32_t sw = w >> 6;
-    std::uint64_t sword = occ_sum[sw] & (~0ULL << (w & 63));
+    std::uint64_t sword = occ_sum_[sw] & (~0ULL << (w & 63));
     while (sword == 0) {
       ++sw;
       if ((sw << 6) >= end_w) return -1;
-      sword = occ_sum[sw];
+      sword = occ_sum_[sw];
     }
     w = (sw << 6) | static_cast<std::uint32_t>(std::countr_zero(sword));
     if (w >= end_w) return -1;
-    word = occ[w];
+    word = occ_[w];
   }
 }
 
-std::uint64_t Engine::Lane::schedule(Time t, Callback fn,
-                                     std::int32_t* out_idx) {
-  NVGAS_CHECK_MSG(t >= now, "scheduling into the past");
+Engine::TimerId Engine::schedule(Time t, Callback fn) {
+  NVGAS_CHECK_MSG(t >= now_, "scheduling into the past");
   const std::int32_t idx = alloc_node();
-  EventNode& n = pool[static_cast<std::size_t>(idx)];
+  EventNode& n = pool_[static_cast<std::size_t>(idx)];
   n.at = t;
-  n.seq = next_seq++;
+  n.seq = next_seq_++;
   n.cancelled = false;
   n.live = true;
   n.fn = std::move(fn);
-  ++pending;
+  ++pending_;
   // An empty wheel can be re-anchored anywhere; park the window right at
   // this event so it lands in a bucket instead of the overflow heap.
-  if (wheel_count == 0) window_start = t;
-  if (t >= window_start && t - window_start < slots) {
+  if (wheel_count_ == 0) window_start_ = t;
+  if (t >= window_start_ && t - window_start_ < slots_) {
     push_bucket(idx);
   } else {
-    far.push(FarRef{t, n.seq, idx});
+    far_.push(FarRef{t, n.seq, idx});
   }
-  *out_idx = idx;
-  return n.seq;
+  return TimerId{static_cast<std::uint32_t>(idx), n.seq};
 }
 
-bool Engine::Lane::cancel(std::uint32_t node, std::uint64_t seq) {
-  if (node >= pool.size()) return false;
-  EventNode& n = pool[node];
+bool Engine::cancel(TimerId id) {
+  if (!id.valid() || id.node >= pool_.size()) return false;
+  EventNode& n = pool_[id.node];
 #ifdef NVGAS_SIMSAN
   // Generation audit: `seq` matching means this token refers to exactly
   // this scheduled instance. Cancelling it twice is a caller lifecycle
   // bug (the first cancel already released the closure); cancelling
   // after the event fired is legal API use and still returns false
   // below, because the node's seq has moved on or the node is free.
-  if (n.live && n.seq == seq && n.cancelled) {
+  if (n.live && n.seq == id.seq && n.cancelled) {
     util::panic(__FILE__, __LINE__,
                 "SimSan: double cancel of timer (token already cancelled)");
   }
 #endif
-  if (!n.live || n.cancelled || n.seq != seq) return false;
+  if (!n.live || n.cancelled || n.seq != id.seq) return false;
   n.cancelled = true;
   n.fn.reset();  // release the closure eagerly
-  --pending;
+  --pending_;
   return true;
 }
 
-void Engine::Lane::decant() {
-  while (!far.empty()) {
-    const FarRef top = far.top();
+void Engine::decant() {
+  while (!far_.empty()) {
+    const FarRef top = far_.top();
     // Entries below the window (possible only after a re-anchor raced an
     // insert) or beyond it stay in the heap; pop_next handles them.
-    if (top.at < window_start || top.at - window_start >= slots) break;
-    far.pop();
-    if (pool[static_cast<std::size_t>(top.node)].cancelled) {
+    if (top.at < window_start_ || top.at - window_start_ >= slots_) break;
+    far_.pop();
+    if (pool_[static_cast<std::size_t>(top.node)].cancelled) {
       recycle(top.node);
       continue;
     }
@@ -225,37 +183,37 @@ void Engine::Lane::decant() {
   }
 }
 
-std::int32_t Engine::Lane::pop_next(bool bounded, Time deadline) {
+std::int32_t Engine::pop_next(bool bounded, Time deadline) {
   while (true) {
     // Wheel candidate: earliest occupied slot, circular from the window
-    // base. All wheel events lie in [window_start, window_start +
-    // slots), so slot order from the base is time order.
+    // base. All wheel events lie in [window_start_, window_start_ +
+    // slots_), so slot order from the base is time order.
     std::int32_t wslot = -1;
     std::int32_t widx = -1;
-    if (wheel_count > 0) {
-      const auto base = static_cast<std::uint32_t>(window_start & mask);
-      wslot = scan_range(base, slots);
+    if (wheel_count_ > 0) {
+      const auto base = static_cast<std::uint32_t>(window_start_ & mask_);
+      wslot = scan_range(base, slots_);
       if (wslot < 0) wslot = scan_range(0, base);
       NVGAS_DCHECK(wslot >= 0);
-      widx = bucket_head[static_cast<std::uint32_t>(wslot)];
-      if (pool[static_cast<std::size_t>(widx)].cancelled) {
+      widx = bucket_head_[static_cast<std::uint32_t>(wslot)];
+      if (pool_[static_cast<std::size_t>(widx)].cancelled) {
         remove_bucket_head(static_cast<std::uint32_t>(wslot));
         recycle(widx);
         continue;
       }
     }
     // Far candidate: prune cancelled tops.
-    if (!far.empty()) {
-      const std::int32_t fidx = far.top().node;
-      if (pool[static_cast<std::size_t>(fidx)].cancelled) {
-        far.pop();
+    if (!far_.empty()) {
+      const std::int32_t fidx = far_.top().node;
+      if (pool_[static_cast<std::size_t>(fidx)].cancelled) {
+        far_.pop();
         recycle(fidx);
         continue;
       }
     }
 
     const bool have_w = widx >= 0;
-    const bool have_f = !far.empty();
+    const bool have_f = !far_.empty();
     if (!have_w && !have_f) return -1;
     bool take_far;
     if (!have_w) {
@@ -263,50 +221,44 @@ std::int32_t Engine::Lane::pop_next(bool bounded, Time deadline) {
     } else if (!have_f) {
       take_far = false;
     } else {
-      const FarRef& f = far.top();
-      const EventNode& wn = pool[static_cast<std::size_t>(widx)];
+      const FarRef& f = far_.top();
+      const EventNode& wn = pool_[static_cast<std::size_t>(widx)];
       take_far = f.at < wn.at || (f.at == wn.at && f.seq < wn.seq);
     }
     if (bounded) {
       const Time t =
-          take_far ? far.top().at : pool[static_cast<std::size_t>(widx)].at;
+          take_far ? far_.top().at : pool_[static_cast<std::size_t>(widx)].at;
       if (t > deadline) return -1;
     }
     if (!take_far) {
       remove_bucket_head(static_cast<std::uint32_t>(wslot));
       return widx;
     }
-    const std::int32_t idx = far.top().node;
-    far.pop();
-    if (wheel_count == 0 && !far.empty()) {
-      window_start =
-          std::max(window_start, pool[static_cast<std::size_t>(idx)].at);
+    const std::int32_t idx = far_.top().node;
+    far_.pop();
+    if (wheel_count_ == 0 && !far_.empty()) {
+      window_start_ =
+          std::max(window_start_, pool_[static_cast<std::size_t>(idx)].at);
       decant();
     }
     return idx;
   }
 }
 
-void Engine::Lane::execute(std::int32_t idx) {
-  EventNode& n = pool[static_cast<std::size_t>(idx)];
+void Engine::execute(std::int32_t idx) {
+  EventNode& n = pool_[static_cast<std::size_t>(idx)];
 #ifdef NVGAS_SIMSAN
   simsan_audit(n, "SimSan: canary smashed on event node (execute)");
   NVGAS_CHECK_MSG(n.live && !n.cancelled,
                   "SimSan: executing a recycled or cancelled event node");
 #endif
-#if NVGAS_SHARDSAN
-  const std::uint32_t ss_lane = n.ss_lane;
-  // The window's lookahead proof bounds every event this lane may run:
-  // executing past the deadline means the window computation was wrong.
-  shardsan::audit_event_time(n.at, __FILE__, __LINE__);
-#endif
-  NVGAS_DCHECK(n.at >= now);
-  now = n.at;
-  NVGAS_DCHECK(pending > 0);
-  --pending;
+  NVGAS_DCHECK(n.at >= now_);
+  now_ = n.at;
+  NVGAS_DCHECK(pending_ > 0);
+  --pending_;
   // Slide the window base up to now: keeps bitmap scans short, and every
   // pending event is >= now, so the slot mapping stays unique.
-  if (now > window_start) window_start = now;
+  if (now_ > window_start_) window_start_ = now_;
   const Time t = n.at;
   const std::uint64_t seq = n.seq;
   // Pinned tie-break contract: execution order is the strict total order
@@ -316,520 +268,54 @@ void Engine::Lane::execute(std::int32_t idx) {
   // debug. Cancelled events consume a seq but never execute, preserving
   // strict monotonicity here.
   NVGAS_CHECK_MSG(
-      !executed_any || t > last_exec_at ||
-          (t == last_exec_at && seq > last_exec_seq),
+      !executed_any_ || t > last_exec_at_ ||
+          (t == last_exec_at_ && seq > last_exec_seq_),
       "event execution violated the pinned (time, seq) total order");
-  last_exec_at = t;
-  last_exec_seq = seq;
-  executed_any = true;
+  last_exec_at_ = t;
+  last_exec_seq_ = seq;
+  executed_any_ = true;
   Callback fn = std::move(n.fn);
   // Recycle before invoking: the callback may schedule events and grow
   // the pool, invalidating the reference.
   recycle(idx);
-  note_executed(t, seq);
-#if NVGAS_SHARDSAN
-  // Re-open the attribution captured at schedule time, so ownership
-  // checks see the lane this event chain logically belongs to.
-  shardsan::ExecScope ss_scope(ss_domain, ss_lane, t);
-#endif
+  ++executed_;
+  // FNV-1a over the (time, seq) pair.
+  auto mix = [this](std::uint64_t v) {
+    trace_hash_ ^= v;
+    trace_hash_ *= 0x100000001b3ULL;
+  };
+  mix(t);
+  mix(seq);
   fn();
 }
 
-Time Engine::Lane::next_time() {
-  while (true) {
-    std::int32_t widx = -1;
-    if (wheel_count > 0) {
-      const auto base = static_cast<std::uint32_t>(window_start & mask);
-      std::int32_t wslot = scan_range(base, slots);
-      if (wslot < 0) wslot = scan_range(0, base);
-      NVGAS_DCHECK(wslot >= 0);
-      widx = bucket_head[static_cast<std::uint32_t>(wslot)];
-      if (pool[static_cast<std::size_t>(widx)].cancelled) {
-        remove_bucket_head(static_cast<std::uint32_t>(wslot));
-        recycle(widx);
-        continue;
-      }
-    }
-    if (!far.empty()) {
-      const std::int32_t fidx = far.top().node;
-      if (pool[static_cast<std::size_t>(fidx)].cancelled) {
-        far.pop();
-        recycle(fidx);
-        continue;
-      }
-    }
-    const bool have_w = widx >= 0;
-    const bool have_f = !far.empty();
-    if (!have_w && !have_f) return ~Time{0};
-    if (!have_w) return far.top().at;
-    const Time wt = pool[static_cast<std::size_t>(widx)].at;
-    if (!have_f) return wt;
-    return std::min(wt, far.top().at);
-  }
-}
-
-void Engine::Lane::run_window(Time deadline, std::uint64_t cap) {
-#if NVGAS_SHARDSAN
-  // Publish the window bound the lookahead proof established, for the
-  // per-event deadline audit in execute().
-  shardsan::WindowScope ss_window(deadline);
-#endif
-  std::uint64_t n = 0;
-  while (n < cap) {
-    const std::int32_t idx = pop_next(/*bounded=*/true, deadline);
-    if (idx < 0) break;
-    execute(idx);
-    ++n;
-  }
-}
-
-// ---- Engine ---------------------------------------------------------------
-
-Engine::Engine(Time horizon_ns) {
-  lanes_.resize(1);
-  lanes_[0].init(horizon_ns, 1);
-#if NVGAS_SHARDSAN
-  lanes_[0].ss_domain = this;
-#endif
-}
-
-Engine::~Engine() {
-#if NVGAS_PARALLEL
-  stop_pool();
-#endif
-}
-
-void Engine::configure_shards(std::uint32_t nshards, Time lookahead,
-                              int threads, Time horizon_ns) {
-  NVGAS_CHECK_MSG(kParallelEnabled,
-                  "sharded engine requires -DNVGAS_PARALLEL=ON");
-  NVGAS_CHECK(nshards >= 1);
-  NVGAS_CHECK_MSG(lookahead >= 1, "sharded engine needs lookahead >= 1 ns");
-  NVGAS_CHECK_MSG(lanes_.size() == 1 && lanes_[0].pending == 0 &&
-                      lanes_[0].executed == 0,
-                  "configure_shards after scheduling or execution");
-  lanes_.clear();
-  lanes_.resize(nshards);
-  for (Lane& l : lanes_) {
-    l.init(horizon_ns, nshards);
-#if NVGAS_SHARDSAN
-    l.ss_domain = this;
-#endif
-  }
-  sharded_ = nshards > 1;
-  lookahead_ = lookahead;
-  threads_ = std::clamp(threads, 1, static_cast<int>(nshards));
-}
-
-Time Engine::now() const {
-  if (tl_engine == this) return lanes_[tl_lane].now;
-  if (!sharded_) return lanes_[0].now;
-  Time t = 0;
-  for (const Lane& l : lanes_) t = std::max(t, l.now);
-  return t;
-}
-
-std::size_t Engine::pending() const {
-  std::size_t n = globals_.size() + serial_gout_.size();
-  for (const Lane& l : lanes_) {
-    n += l.pending + l.gout.size();
-    for (const auto& v : l.out) n += v.size();
-  }
-  return n;
-}
-
-std::uint64_t Engine::events_executed() const {
-  std::uint64_t n = globals_executed_;
-  for (const Lane& l : lanes_) n += l.executed;
-  return n;
-}
-
-std::size_t Engine::overflow_pending() const {
-  std::size_t n = 0;
-  for (const Lane& l : lanes_) n += l.far.size();
-  return n;
-}
-
-std::uint64_t Engine::trace_hash() const {
-  if (!sharded_) return lanes_[0].trace_hash;
-  // Deterministic fold over per-lane hashes in lane order, plus the
-  // barrier-event stream: a pure function of every lane's executed
-  // (time, seq) sequence, and therefore of the program — identical for
-  // every host thread count.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  };
-  mix(lanes_.size());
-  for (const Lane& l : lanes_) {
-    mix(l.trace_hash);
-    mix(l.executed);
-  }
-  mix(global_hash_);
-  mix(globals_executed_);
-  return h;
-}
-
-Engine::TimerId Engine::schedule_on(std::uint32_t lane, Time t, Callback fn) {
-  NVGAS_DCHECK(lane < lanes_.size());
-#if NVGAS_SHARDSAN
-  // The wheel ownership guard is sharded-only: the classic lanes_[0]
-  // wheel is deliberately shared by every logical lane, so a logical
-  // check there would reject legitimate at_shard(0) use.
-  if (sharded_) NVGAS_SHARD_GUARD("engine lane wheel", lane, this);
-#endif
-  std::int32_t idx = -1;
-  const std::uint64_t seq = lanes_[lane].schedule(t, std::move(fn), &idx);
-#if NVGAS_SHARDSAN
-  lanes_[lane].pool[static_cast<std::size_t>(idx)].ss_lane =
-      sharded_ ? lane : shardsan::current_lane(this);
-#endif
-  return TimerId{static_cast<std::uint32_t>(idx), lane, seq};
-}
-
-bool Engine::cancel(TimerId id) {
-  if (!id.valid() || id.shard >= lanes_.size()) return false;
-  NVGAS_DCHECK(!on_shard_context() || tl_lane == id.shard || tl_adopted);
-#if NVGAS_SHARDSAN
-  if (sharded_) NVGAS_SHARD_GUARD("engine lane wheel (cancel)", id.shard, this);
-#endif
-  return lanes_[id.shard].cancel(id.node, id.seq);
-}
-
-void Engine::post(std::uint32_t dst, Time t, Callback fn) {
-  NVGAS_DCHECK(dst < lanes_.size());
-  if (!sharded_ || (on_shard_context() && tl_lane == dst) ||
-      !on_shard_context()) {
-    // Same shard, unsharded, or host/setup context: a plain local event.
-    // (Host context is only legal while quiesced — same rule as at_shard.)
-    (void)schedule_on(sharded_ ? dst : ctx_lane(),
-                      std::max(t, lanes_[sharded_ ? dst : ctx_lane()].now),
-                      std::move(fn));
-    return;
-  }
-  Lane& src = lanes_[tl_lane];
-  OutMsg m{t, src.out_order++, std::move(fn)};
-#if NVGAS_SHARDSAN
-  m.ss_posted_at = src.now;
-  m.ss_epoch = ss_epoch_;
-  m.ss_windowed = shardsan::tls().win_open;
-#endif
-  src.out[dst].push_back(std::move(m));
-}
-
-void Engine::at_global(Time g, std::uint32_t home, Callback fn) {
-  NVGAS_CHECK_MSG(sharded_, "at_global requires a sharded engine");
-  NVGAS_DCHECK(home < lanes_.size());
-  if (on_shard_context()) {
-    Lane& src = lanes_[tl_lane];
-    src.gout.push_back(GlobalReq{g, tl_lane, home, src.gout_order++, std::move(fn)});
-  } else {
-    // Host or barrier context (serial): a dedicated request stream that
-    // sorts after every lane's, keeping the drain order total.
-    serial_gout_.push_back(GlobalReq{g, shards(), home, serial_gout_order_++,
-                                     std::move(fn)});
-  }
-}
-
-void Engine::drain_outboxes() {
-  const std::uint32_t n = shards();
-#if NVGAS_SHARDSAN
-  if (ss_window_open_) {
-    shardsan::audit_fail("outbox drain while a window was executing",
-                         __FILE__, __LINE__);
-  }
-#endif
-  // Wire/handoff entries: per destination, merge all sources in the
-  // deterministic total order (time, src lane, post order) and schedule
-  // them as ordinary lane events. Entries before the last window
-  // boundary are clamped to it (boundaries are themselves deterministic,
-  // so the clamp is too); boundary B <= t_post + lookahead, so a clamped
-  // handoff still lands no later than any wire arrival it could cause.
-  struct Key {
-    Time t;
-    std::uint32_t src;
-    std::uint64_t order;
-    OutMsg* msg;
-  };
-  std::vector<Key> merged;
-  for (std::uint32_t dst = 0; dst < n; ++dst) {
-    merged.clear();
-    for (std::uint32_t src = 0; src < n; ++src) {
-      for (OutMsg& m : lanes_[src].out[dst]) {
-        merged.push_back(Key{m.t, src, m.order, &m});
-      }
-    }
-    if (merged.empty()) continue;
-    std::sort(merged.begin(), merged.end(), [](const Key& a, const Key& b) {
-      if (a.t != b.t) return a.t < b.t;
-      if (a.src != b.src) return a.src < b.src;
-      return a.order < b.order;
-    });
-#if NVGAS_SHARDSAN
-    // The drain order must be exactly the strict (time, src lane, post
-    // order) tie-break — any tie left after the sort means two messages
-    // shared a full key and delivery order would depend on merge order.
-    for (std::size_t j = 0; j + 1 < merged.size(); ++j) {
-      const Key& a = merged[j];
-      const Key& b = merged[j + 1];
-      if (a.t == b.t && a.src == b.src && a.order == b.order) {
-        shardsan::audit_fail(
-            "duplicate (time, src lane, post order) key in outbox drain",
-            __FILE__, __LINE__);
-      }
-    }
-#endif
-    for (Key& k : merged) {
-      const Time sched = std::max(k.t, floor_);
-#if NVGAS_SHARDSAN
-      // Machine-check the lookahead proof: a window post at source time
-      // P may be clamped at most to P + L (boundary B <= t_post + L), so
-      // a clamp beyond that means a window ran wider than its proof.
-      if (k.msg->ss_windowed && floor_ > k.msg->ss_posted_at + lookahead_) {
-        shardsan::audit_fail(
-            "cross-lane delivery clamped past its lookahead bound",
-            __FILE__, __LINE__);
-      }
-      // No message may sit out a window boundary: every outbox is fully
-      // drained between windows, so a stale epoch means a missed drain.
-      if (k.msg->ss_epoch != ss_epoch_) {
-        shardsan::audit_fail(
-            "outbox message survived a window boundary undrained",
-            __FILE__, __LINE__);
-      }
-      // Delivery time >= the destination's window floor (its clock).
-      if (sched < lanes_[dst].now) {
-        shardsan::audit_fail(
-            "cross-lane delivery scheduled into the destination's past",
-            __FILE__, __LINE__);
-      }
-#endif
-      (void)schedule_on(dst, sched, std::move(k.msg->fn));
-    }
-    for (std::uint32_t src = 0; src < n; ++src) lanes_[src].out[dst].clear();
-  }
-  // Barrier-event requests.
-  bool added = false;
-  for (std::uint32_t src = 0; src < n; ++src) {
-    for (GlobalReq& r : lanes_[src].gout) {
-      globals_.push_back(std::move(r));
-      added = true;
-    }
-    lanes_[src].gout.clear();
-  }
-  for (GlobalReq& r : serial_gout_) {
-    globals_.push_back(std::move(r));
-    added = true;
-  }
-  serial_gout_.clear();
-  if (added) {
-    std::sort(globals_.begin(), globals_.end(),
-              [](const GlobalReq& a, const GlobalReq& b) {
-                if (a.g != b.g) return a.g < b.g;
-                if (a.src != b.src) return a.src < b.src;
-                return a.order < b.order;
-              });
-  }
-}
-
-void Engine::run_globals_at(Time g) {
-  // Execute every pending barrier event at exactly `g`, serially, each in
-  // its home shard's context with that shard's clock advanced to g (legal:
-  // every lane's next pending event is >= g). Each execution is folded
-  // into a dedicated barrier-event hash so the total trace hash covers
-  // this stream too.
-#if NVGAS_SHARDSAN
-  if (ss_window_open_) {
-    shardsan::audit_fail("barrier event ran while a window was executing",
-                         __FILE__, __LINE__);
-  }
-  // A barrier may only run once every lane's horizon has passed g: any
-  // lane with an earlier pending event could still affect barrier state.
-  for (Lane& l : lanes_) {
-    if (l.next_time() < g) {
-      shardsan::audit_fail("barrier event ran before every lane reached it",
-                           __FILE__, __LINE__);
-    }
-  }
-#endif
-  std::size_t i = 0;
-  while (i < globals_.size() && globals_[i].g == g) ++i;
-  std::vector<GlobalReq> batch(std::make_move_iterator(globals_.begin()),
-                               std::make_move_iterator(globals_.begin() +
-                                                       static_cast<std::ptrdiff_t>(i)));
-  globals_.erase(globals_.begin(),
-                 globals_.begin() + static_cast<std::ptrdiff_t>(i));
-  for (GlobalReq& r : batch) {
-    Lane& home = lanes_[r.home];
-    home.now = std::max(home.now, g);
-    ++globals_executed_;
-    auto mix = [this](std::uint64_t v) {
-      global_hash_ ^= v;
-      global_hash_ *= 0x100000001b3ULL;
-    };
-    mix(g);
-    mix(r.home);
-    mix(global_seq_++);
-    LaneScope scope(&tl_engine, &tl_lane, this, r.home);
-#if NVGAS_SHARDSAN
-    // Barrier events run serially while every lane is quiesced past g —
-    // the sanctioned home for cross-lane state (attribute the home lane,
-    // sanction everything else).
-    shardsan::ExecScope ss_scope(this, r.home, g);
-    shardsan::SanctionScope ss_sanction;
-#endif
-    r.fn();
-  }
-  floor_ = std::max(floor_, g);
-}
-
-void Engine::run_window_parallel(Time deadline, std::uint64_t cap) {
-#if NVGAS_PARALLEL
-  if (threads_ > 1) {
-    ensure_pool();
-    {
-      std::lock_guard<std::mutex> lk(pool_mu_);
-      window_deadline_ = deadline;
-      window_cap_ = cap;
-      pool_remaining_ = static_cast<std::uint32_t>(pool_.size());
-      ++pool_gen_;
-    }
-    pool_cv_start_.notify_all();
-    std::unique_lock<std::mutex> lk(pool_mu_);
-    pool_cv_done_.wait(lk, [this] { return pool_remaining_ == 0; });
-    return;
-  }
-#endif
-  for (std::uint32_t l = 0; l < shards(); ++l) {
-    LaneScope scope(&tl_engine, &tl_lane, this, l);
-    lanes_[l].run_window(deadline, cap);
-  }
-}
-
-#if NVGAS_PARALLEL
-void Engine::ensure_pool() {
-  if (!pool_.empty()) return;
-  const auto workers = static_cast<std::uint32_t>(
-      std::min<int>(threads_, static_cast<int>(shards())));
-  pool_.reserve(workers);
-  for (std::uint32_t w = 0; w < workers; ++w) {
-    pool_.emplace_back([this, w] { worker_main(w); });
-  }
-}
-
-void Engine::stop_pool() {
-  if (pool_.empty()) return;
-  {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    pool_shutdown_ = true;
-  }
-  pool_cv_start_.notify_all();
-  for (std::thread& t : pool_) t.join();
-  pool_.clear();
-}
-
-void Engine::worker_main(std::uint32_t worker) {
-  std::uint64_t seen_gen = 0;
-  for (;;) {
-    Time deadline;
-    std::uint64_t cap;
-    {
-      std::unique_lock<std::mutex> lk(pool_mu_);
-      pool_cv_start_.wait(
-          lk, [&] { return pool_shutdown_ || pool_gen_ != seen_gen; });
-      if (pool_shutdown_) return;
-      seen_gen = pool_gen_;
-      deadline = window_deadline_;
-      cap = window_cap_;
-    }
-    const auto nworkers = static_cast<std::uint32_t>(pool_.size());
-    for (std::uint32_t l = worker; l < shards(); l += nworkers) {
-      LaneScope scope(&tl_engine, &tl_lane, this, l);
-      lanes_[l].run_window(deadline, cap);
-    }
-    {
-      std::lock_guard<std::mutex> lk(pool_mu_);
-      if (--pool_remaining_ == 0) pool_cv_done_.notify_one();
-    }
-  }
-}
-#endif
-
-std::uint64_t Engine::run_sharded(bool bounded, Time deadline,
-                                  std::uint64_t max_events) {
-  const std::uint64_t start = events_executed();
-  while (true) {
-    drain_outboxes();
-    Time t_min = ~Time{0};
-    for (Lane& l : lanes_) t_min = std::min(t_min, l.next_time());
-    const Time g_min = globals_.empty() ? ~Time{0} : globals_.front().g;
-    if (t_min == ~Time{0} && g_min == ~Time{0}) break;
-    if (bounded && std::min(t_min, g_min) > deadline) break;
-    const std::uint64_t done = events_executed() - start;
-    if (done >= max_events) break;
-    if (g_min <= t_min) {
-      // Every lane's horizon has passed g_min: run the barrier events,
-      // then re-drain (they may have posted handoffs or new requests).
-      run_globals_at(g_min);
-      continue;
-    }
-    // Safe window [t_min, B): nothing outside a lane can affect it before
-    // B = t_min + L, and the window never crosses a pending barrier event
-    // (or the bounded deadline).
-    NVGAS_DCHECK(t_min <= ~Time{0} - lookahead_);
-    Time b = t_min + lookahead_;
-    if (g_min != ~Time{0}) b = std::min(b, g_min);
-    if (bounded && deadline != ~Time{0}) b = std::min(b, deadline + 1);
-#if NVGAS_SHARDSAN
-    ++ss_epoch_;
-    ss_window_open_ = true;
-#endif
-    run_window_parallel(b - 1, max_events - done);
-#if NVGAS_SHARDSAN
-    ss_window_open_ = false;
-#endif
-    floor_ = std::max(floor_, b);
-  }
-  if (bounded) {
-    for (Lane& l : lanes_) l.now = std::max(l.now, deadline);
-  }
-  return events_executed() - start;
-}
-
 bool Engine::step() {
-  NVGAS_CHECK_MSG(!sharded_, "step() is classic-mode only");
-  Lane& l = lanes_[0];
-  const std::int32_t idx = l.pop_next(/*bounded=*/false, 0);
+  const std::int32_t idx = pop_next(/*bounded=*/false, 0);
   if (idx < 0) return false;
-  l.execute(idx);
+  execute(idx);
   return true;
 }
 
 std::uint64_t Engine::run(std::uint64_t max_events) {
-  if (sharded_) return run_sharded(/*bounded=*/false, 0, max_events);
-  Lane& l = lanes_[0];
   std::uint64_t n = 0;
   while (n < max_events) {
-    const std::int32_t idx = l.pop_next(/*bounded=*/false, 0);
+    const std::int32_t idx = pop_next(/*bounded=*/false, 0);
     if (idx < 0) break;
-    l.execute(idx);
+    execute(idx);
     ++n;
   }
   return n;
 }
 
 std::uint64_t Engine::run_until(Time deadline) {
-  if (sharded_) return run_sharded(/*bounded=*/true, deadline, ~0ULL);
-  Lane& l = lanes_[0];
   std::uint64_t n = 0;
   while (true) {
-    const std::int32_t idx = l.pop_next(/*bounded=*/true, deadline);
+    const std::int32_t idx = pop_next(/*bounded=*/true, deadline);
     if (idx < 0) break;
-    l.execute(idx);
+    execute(idx);
     ++n;
   }
-  if (l.now < deadline) l.now = deadline;
+  if (now_ < deadline) now_ = deadline;
   return n;
 }
 

@@ -7,7 +7,7 @@
 //
 // The same-timestamp tie-break is a PINNED, asserted contract: co-timed
 // events execute in ascending seq — i.e. scheduling — order, making the
-// execution order a strict total order over (time, seq). Lane::execute
+// execution order a strict total order over (time, seq). execute()
 // checks this on every event in all build types. mcheck (tools/mcheck)
 // replays counterexample schedules from a schedule string alone and
 // depends on this order never changing; see docs/MODEL_CHECKING.md.
@@ -26,47 +26,12 @@
 // Each bucket covers exactly one nanosecond, so FIFO order within a
 // bucket is (time, seq) order, and the trace hash is byte-identical to
 // the reference heap engine for any schedule.
-//
-// ---- Sharded (conservative-parallel) mode --------------------------------
-//
-// configure_shards(n, L, threads) splits the engine into n independent
-// *lanes* (one per simulated node), each a complete timing wheel with its
-// own sequence counter and FNV-1a trace hash. Lanes advance together in
-// safe windows: with T = min over lanes of the next pending event time,
-// every event in [T, T + L) may execute without hearing from any other
-// lane, because the only cross-lane influence is a wire message with
-// minimum latency L (classic conservative PDES lookahead; see DESIGN.md
-// §"Parallel engine"). Cross-lane effects travel through per-source
-// mailboxes drained between windows in the deterministic order
-// (time, src lane, post order), so the whole computation — and therefore
-// every lane's trace hash — is a pure function of the program, NOT of
-// the host thread count. `threads` only picks how many host threads
-// execute lane windows; threads=1 is the serial baseline the parallel
-// hashes must match byte-for-byte (tools/determinism_probe enforces it).
-//
-// Barrier events (at_global) run serially between windows once every
-// lane's horizon has passed their time; they are the sanctioned home for
-// operations that must observe globally quiesced state (allocation
-// teardown, balancer epochs). A window never crosses a pending barrier
-// event's time.
-//
-// With a single lane (the default) none of this machinery is reachable
-// and the engine is exactly the classic single-threaded one: same seqs,
-// same hash, same pool behavior. mcheck and the Explorer always run the
-// classic engine.
 #pragma once
 
 #include <cstdint>
 #include <queue>
 #include <vector>
 
-#if NVGAS_PARALLEL
-#include <condition_variable>
-#include <mutex>
-#include <thread>
-#endif
-
-#include "sim/shardsan.hpp"
 #include "sim/time.hpp"
 #include "util/assert.hpp"
 #include "util/inline_function.hpp"
@@ -77,17 +42,10 @@ class Engine {
  public:
   using Callback = util::InlineFunction<void(), 48>;
 
-#if NVGAS_PARALLEL
-  static constexpr bool kParallelEnabled = true;
-#else
-  static constexpr bool kParallelEnabled = false;
-#endif
-
   // Handle for cancellable timers. Tokens are single-use: once the event
   // fired or was cancelled, further cancel() calls return false.
   struct TimerId {
-    std::uint32_t node = kNoNode;  // pool index within the owning shard
-    std::uint32_t shard = 0;
+    std::uint32_t node = kNoNode;  // pool index
     std::uint64_t seq = 0;
     [[nodiscard]] bool valid() const { return node != kNoNode; }
   };
@@ -95,168 +53,61 @@ class Engine {
   static constexpr Time kDefaultHorizonNs = 64 * kMicrosecond;
 
   explicit Engine(Time horizon_ns = kDefaultHorizonNs);
-  ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  // Current simulated time: the executing lane's clock from inside an
-  // event, the single lane's clock in classic mode, and the maximum lane
-  // clock from host context in sharded mode (e.g. after a run).
-  [[nodiscard]] Time now() const;
+  [[nodiscard]] Time now() const { return now_; }
 
   // Schedule `fn` at absolute simulated time `t` (must be >= now()).
-  // From inside an event this targets the executing shard; from host
-  // context it targets shard 0 (classic mode's only shard).
-  void at(Time t, Callback fn) { (void)schedule_on(ctx_lane(), t, std::move(fn)); }
+  void at(Time t, Callback fn) { (void)schedule(t, std::move(fn)); }
 
   // Schedule `fn` `delay` nanoseconds from now. `now() + delay` must not
   // wrap around the 64-bit Time range.
   void after(Time delay, Callback fn) {
-    const Time base = lanes_[ctx_lane()].now;
-    NVGAS_CHECK_MSG(delay <= ~Time{0} - base, "Time overflow in after()");
-    (void)schedule_on(ctx_lane(), base + delay, std::move(fn));
+    NVGAS_CHECK_MSG(delay <= ~Time{0} - now_, "Time overflow in after()");
+    (void)schedule(now_ + delay, std::move(fn));
   }
 
   // Cancellable variants. A cancelled event never runs and never enters
   // the trace hash; its sequence number is still consumed.
   [[nodiscard]] TimerId at_cancellable(Time t, Callback fn) {
-    return schedule_on(ctx_lane(), t, std::move(fn));
+    return schedule(t, std::move(fn));
   }
   [[nodiscard]] TimerId after_cancellable(Time delay, Callback fn) {
-    const Time base = lanes_[ctx_lane()].now;
-    NVGAS_CHECK_MSG(delay <= ~Time{0} - base, "Time overflow in after()");
-    return schedule_on(ctx_lane(), base + delay, std::move(fn));
+    NVGAS_CHECK_MSG(delay <= ~Time{0} - now_, "Time overflow in after()");
+    return schedule(now_ + delay, std::move(fn));
   }
 
   // O(1); returns true if the event had not yet fired or been cancelled.
-  // In sharded mode a timer may only be cancelled from its own shard's
-  // execution context (or from host context while quiesced).
   bool cancel(TimerId id);
 
-  [[nodiscard]] bool idle() const { return pending() == 0; }
-  [[nodiscard]] std::size_t pending() const;
-  [[nodiscard]] std::uint64_t events_executed() const;
-  [[nodiscard]] std::uint64_t trace_hash() const;
+  [[nodiscard]] bool idle() const { return pending_ == 0; }
+  [[nodiscard]] std::size_t pending() const { return pending_; }
+  [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
+  [[nodiscard]] std::uint64_t trace_hash() const { return trace_hash_; }
 
   // Introspection for tests: events currently parked in the overflow
-  // heaps (beyond the wheel horizon), and the configured horizon.
-  [[nodiscard]] std::size_t overflow_pending() const;
-  [[nodiscard]] Time horizon() const { return lanes_[0].slots; }
+  // heap (beyond the wheel horizon), and the configured horizon.
+  [[nodiscard]] std::size_t overflow_pending() const { return far_.size(); }
+  [[nodiscard]] Time horizon() const { return slots_; }
 
-  // Execute the next event; returns false when idle. Classic mode only.
+  // Execute the next event; returns false when idle.
   bool step();
 
   // Run until the event queue drains or `max_events` have executed.
   // Returns the number of events executed. Benchmarks use the event cap
-  // as a livelock watchdog; in sharded mode it is enforced per lane per
-  // window, so the total may overshoot by up to one window per lane.
+  // as a livelock watchdog.
   std::uint64_t run(std::uint64_t max_events = ~0ULL);
 
   // Run until simulated time reaches `deadline` (events at exactly
   // `deadline` still run) or the queue drains.
   std::uint64_t run_until(Time deadline);
 
-  // ---- sharded mode --------------------------------------------------
-
-  // Split the engine into `nshards` lanes advancing in safe windows of
-  // lookahead `L` (the minimum cross-shard wire latency), executed by
-  // `threads` host threads (clamped to [1, nshards]). Must be called
-  // before anything is scheduled. Requires -DNVGAS_PARALLEL=ON.
-  void configure_shards(std::uint32_t nshards, Time lookahead, int threads,
-                        Time horizon_ns = kDefaultHorizonNs);
-
-  [[nodiscard]] bool sharded() const { return sharded_; }
-  [[nodiscard]] std::uint32_t shards() const {
-    return static_cast<std::uint32_t>(lanes_.size());
-  }
-  [[nodiscard]] Time lookahead() const { return lookahead_; }
-  [[nodiscard]] int threads() const { return threads_; }
-
-  // True when called from inside an event (or barrier event) of this
-  // engine; current_shard() then names the executing shard.
-  [[nodiscard]] bool on_shard_context() const { return tl_engine == this; }
-  [[nodiscard]] std::uint32_t current_shard(std::uint32_t fallback = 0) const {
-    return tl_engine == this ? tl_lane : fallback;
-  }
-
-  // True when the current shard context was adopted by a host thread via
-  // ShardContext (setup/teardown pumps) rather than entered by window or
-  // barrier execution. Adopted contexts run while every lane is quiesced,
-  // so cross-lane state access is safe — direct-vs-post routing decisions
-  // should treat them like host context, while event scheduling still
-  // lands on the adopted lane.
-  [[nodiscard]] bool on_adopted_context() const {
-    return tl_engine == this && tl_adopted;
-  }
-
-  // Schedule directly onto `shard`. Legal from that shard's own execution
-  // context, or from host/adopted context while no window is running.
-  void at_shard(std::uint32_t shard, Time t, Callback fn) {
-    NVGAS_DCHECK(!on_shard_context() || tl_lane == shard || tl_adopted);
-    (void)schedule_on(shard, t, std::move(fn));
-  }
-
-  // Cross-shard handoff: run `fn` on `dst` no earlier than `t`, delivered
-  // at the next window boundary B if `t` lies before it (B <= t_send + L,
-  // so a deferred handoff is never later than any wire arrival it could
-  // have caused). Delivery order is the pure function
-  // (time, src shard, post order) of the computation — never of the host
-  // schedule. Same-shard (or unsharded) calls degrade to a plain at().
-  void post(std::uint32_t dst, Time t, Callback fn);
-
-  // Barrier event: run `fn` serially between windows once every lane's
-  // next pending event time has reached `g`, in the executing-shard
-  // context of `home` (counters, clock and follow-up scheduling all
-  // attribute there). Windows never cross a pending barrier event.
-  void at_global(Time g, std::uint32_t home, Callback fn);
-
-  // RAII: adopt `shard`'s execution context on the current host thread,
-  // so code that normally runs inside that shard's events (setup-phase
-  // task pumps, teardown) schedules onto the correct lane instead of the
-  // host fallback. Legal only while no window is running (the same rule
-  // as any host-context scheduling); nests like event execution does.
-  class ShardContext {
-   public:
-    ShardContext(Engine& engine, std::uint32_t shard)
-        : prev_engine_(tl_engine),
-          prev_lane_(tl_lane),
-          prev_adopted_(tl_adopted)
-#if NVGAS_SHARDSAN
-          ,
-          ss_exec_(&engine, shard)
-#endif
-    {
-      NVGAS_DCHECK(shard < engine.lanes_.size());
-      tl_engine = &engine;
-      tl_lane = shard;
-      tl_adopted = true;
-    }
-    ~ShardContext() {
-      tl_engine = prev_engine_;
-      tl_lane = prev_lane_;
-      tl_adopted = prev_adopted_;
-    }
-    ShardContext(const ShardContext&) = delete;
-    ShardContext& operator=(const ShardContext&) = delete;
-
-   private:
-    Engine* prev_engine_;
-    std::uint32_t prev_lane_;
-    bool prev_adopted_;
-#if NVGAS_SHARDSAN
-    // Adopted contexts run while every lane is quiesced: attribute the
-    // adopted lane and sanction cross-lane access, matching the engine's
-    // own adopted-context contract.
-    shardsan::ExecScope ss_exec_;
-    shardsan::SanctionScope ss_sanction_;
-#endif
-  };
-
 #ifdef NVGAS_SIMSAN
   // Death-test hook: invoke a node's callback slot directly, bypassing
   // all scheduling bookkeeping. On a recycled node this hits the poison
   // vtable and aborts with the use-after-recycle diagnostic. Tests only.
-  void simsan_invoke_slot(std::uint32_t node) { lanes_[0].pool.at(node).fn(); }
+  void simsan_invoke_slot(std::uint32_t node) { pool_.at(node).fn(); }
 #endif
 
  private:
@@ -277,16 +128,11 @@ class Engine {
 #ifdef NVGAS_SIMSAN
     std::uint64_t canary_post = kSimsanCanary;
 #endif
-#if NVGAS_SHARDSAN
-    // Logical lane attribution captured at schedule time: the target lane
-    // in sharded mode (lane events belong to their lane), the scheduling
-    // context's logical lane in classic mode (propagates through chains).
-    std::uint32_t ss_lane = shardsan::kNone;
-#endif
   };
 
 #ifdef NVGAS_SIMSAN
   static constexpr std::uint64_t kSimsanCanary = 0x51edC0DE5AFEC0DEULL;
+  void simsan_audit(const EventNode& n, const char* site) const;
 #endif
 
   // 16-byte sort key + pool index for far-future events; the closure
@@ -303,176 +149,49 @@ class Engine {
     }
   };
 
-  // Cross-shard mailbox entry (lane-private until drained at a barrier).
-  struct OutMsg {
-    Time t = 0;
-    std::uint64_t order = 0;
-    Callback fn;
-#if NVGAS_SHARDSAN
-    // Safe-window auditor provenance: the posting lane's clock and the
-    // window epoch the post happened in. The drain verifies the clamp
-    // never exceeds posted_at + lookahead (the conservative-PDES proof)
-    // and that no message survives a window boundary undrained.
-    Time ss_posted_at = 0;
-    std::uint64_t ss_epoch = 0;
-    // Posted from inside a window (vs an adopted/barrier context while
-    // quiesced, where the clamp-vs-lookahead bound doesn't apply).
-    bool ss_windowed = false;
-#endif
-  };
-  // Barrier-event request; `src` tags the posting lane for the drain sort.
-  struct GlobalReq {
-    Time g = 0;
-    std::uint32_t src = 0;
-    std::uint32_t home = 0;
-    std::uint64_t order = 0;
-    Callback fn;
-  };
+  TimerId schedule(Time t, Callback fn);
+  std::int32_t alloc_node();
+  void recycle(std::int32_t idx);
+  void push_bucket(std::int32_t idx);
+  void remove_bucket_head(std::uint32_t slot);
+  void set_bit(std::uint32_t slot);
+  void clear_bit(std::uint32_t slot);
+  [[nodiscard]] std::int32_t scan_range(std::uint32_t from,
+                                        std::uint32_t end) const;
+  void decant();
+  std::int32_t pop_next(bool bounded, Time deadline);
+  void execute(std::int32_t idx);
 
-  // One complete event queue: the entire classic engine's state. The
-  // classic engine IS lanes_[0]; sharded mode runs one Lane per node.
-  struct Lane {
-    void init(Time horizon_ns, std::uint32_t nshards);
+  // Event node pool.
+  std::vector<EventNode> pool_;
+  std::int32_t free_head_ = -1;
 
-    std::int32_t alloc_node();
-    void recycle(std::int32_t idx);
-    void push_bucket(std::int32_t idx);
-    void remove_bucket_head(std::uint32_t slot);
-    void set_bit(std::uint32_t slot);
-    void clear_bit(std::uint32_t slot);
-    [[nodiscard]] std::int32_t scan_range(std::uint32_t from,
-                                          std::uint32_t end) const;
-    std::uint64_t schedule(Time t, Callback fn, std::int32_t* out_idx);
-    bool cancel(std::uint32_t node, std::uint64_t seq);
-    void decant();
-    std::int32_t pop_next(bool bounded, Time deadline);
-    void execute(std::int32_t idx);
-    // Earliest pending event time, or ~Time{0} when drained.
-    [[nodiscard]] Time next_time();
-    // Execute events with time <= deadline, at most `cap` of them.
-    void run_window(Time deadline, std::uint64_t cap);
+  // Timing wheel: one slot per nanosecond over [window_start_,
+  // window_start_ + slots_). Within a bucket, the chain is FIFO — all
+  // entries share one timestamp, so insertion order is seq order.
+  std::uint32_t slots_ = 0;  // power of two
+  std::uint32_t mask_ = 0;
+  Time window_start_ = 0;
+  std::vector<std::int32_t> bucket_head_;
+  std::vector<std::int32_t> bucket_tail_;
+  std::vector<std::uint64_t> occ_;      // one bit per slot
+  std::vector<std::uint64_t> occ_sum_;  // one bit per occ word
+  std::size_t wheel_count_ = 0;         // nodes resident in the wheel
 
-    void note_executed(Time at, std::uint64_t seq) {
-      ++executed;
-      // FNV-1a over the (time, seq) pair.
-      auto mix = [this](std::uint64_t v) {
-        trace_hash ^= v;
-        trace_hash *= 0x100000001b3ULL;
-      };
-      mix(at);
-      mix(seq);
-    }
+  // Far-future overflow (at >= window_start_ + slots_ at insert time).
+  std::priority_queue<FarRef, std::vector<FarRef>, FarLater> far_;
 
-#ifdef NVGAS_SIMSAN
-    void simsan_audit(const EventNode& n, const char* site) const;
-#endif
+  // Tie-break audit state: the last executed (time, seq) pair, used to
+  // assert the pinned total order in execute().
+  Time last_exec_at_ = 0;
+  std::uint64_t last_exec_seq_ = 0;
+  bool executed_any_ = false;
 
-    // Event node pool.
-    std::vector<EventNode> pool;
-    std::int32_t free_head = -1;
-
-    // Timing wheel: one slot per nanosecond over [window_start,
-    // window_start + slots). Within a bucket, the chain is FIFO — all
-    // entries share one timestamp, so insertion order is seq order.
-    std::uint32_t slots = 0;  // power of two
-    std::uint32_t mask = 0;
-    Time window_start = 0;
-    std::vector<std::int32_t> bucket_head;
-    std::vector<std::int32_t> bucket_tail;
-    std::vector<std::uint64_t> occ;      // one bit per slot
-    std::vector<std::uint64_t> occ_sum;  // one bit per occ word
-    std::size_t wheel_count = 0;         // nodes resident in the wheel
-
-    // Far-future overflow (at >= window_start + slots at insert time).
-    std::priority_queue<FarRef, std::vector<FarRef>, FarLater> far;
-
-    // Tie-break audit state: the last executed (time, seq) pair, used to
-    // assert the pinned total order in execute().
-    Time last_exec_at = 0;
-    std::uint64_t last_exec_seq = 0;
-    bool executed_any = false;
-
-    Time now = 0;
-    std::uint64_t next_seq = 0;
-    std::uint64_t executed = 0;
-    std::size_t pending = 0;  // live (non-cancelled) scheduled events
-    std::uint64_t trace_hash = 0xcbf29ce484222325ULL;
-
-    // Cross-shard mailboxes (one per destination lane) and barrier-event
-    // requests, written only by this lane's own window execution and
-    // drained by the coordinator between windows.
-    std::vector<std::vector<OutMsg>> out;
-    std::uint64_t out_order = 0;
-    std::vector<GlobalReq> gout;
-    std::uint64_t gout_order = 0;
-
-#if NVGAS_SHARDSAN
-    // The owning Engine — ShardSan's attribution domain (distinguishes
-    // nested engines), set at init and never changed.
-    const void* ss_domain = nullptr;
-#endif
-  };
-
-  [[nodiscard]] std::uint32_t ctx_lane() const {
-    return tl_engine == this ? tl_lane : 0;
-  }
-  TimerId schedule_on(std::uint32_t lane, Time t, Callback fn);
-  void drain_outboxes();
-  void run_globals_at(Time g);
-  void run_window_parallel(Time deadline, std::uint64_t cap);
-  std::uint64_t run_sharded(bool bounded, Time deadline,
-                            std::uint64_t max_events);
-#if NVGAS_PARALLEL
-  void ensure_pool();
-  void stop_pool();
-  void worker_main(std::uint32_t worker);
-#endif
-
-  // Host-thread execution context: which engine + lane the current host
-  // thread is executing events for. thread_local by necessity — it is
-  // the one piece of state that must follow the *host* thread, not a
-  // shard; each worker writes only its own thread's copy.
-  // simlint:allow(D7: host-thread execution context, one copy per host thread, never shared across shards)
-  static thread_local Engine* tl_engine;
-  // simlint:allow(D7: host-thread execution context, one copy per host thread, never shared across shards)
-  static thread_local std::uint32_t tl_lane;
-  // simlint:allow(D7: host-thread execution context, one copy per host thread, never shared across shards)
-  static thread_local bool tl_adopted;
-
-  std::vector<Lane> lanes_;
-  bool sharded_ = false;
-  Time lookahead_ = 0;
-  int threads_ = 1;
-  Time floor_ = 0;  // boundary of the last completed window
-
-#if NVGAS_SHARDSAN
-  // Safe-window auditor state: the current window epoch (bumped before
-  // each window) and whether a window is executing right now. Both are
-  // only touched by the coordinating thread between windows.
-  std::uint64_t ss_epoch_ = 0;
-  bool ss_window_open_ = false;
-#endif
-
-  // Pending barrier events, kept sorted by (g, src, order) after drains.
-  std::vector<GlobalReq> globals_;
-  // Barrier-context at_global() requests (host context; no lane outbox).
-  std::vector<GlobalReq> serial_gout_;
-  std::uint64_t serial_gout_order_ = 0;
-  std::uint64_t globals_executed_ = 0;
-  std::uint64_t global_hash_ = 0xcbf29ce484222325ULL;
-  std::uint64_t global_seq_ = 0;
-
-#if NVGAS_PARALLEL
-  std::vector<std::thread> pool_;
-  std::mutex pool_mu_;
-  std::condition_variable pool_cv_start_;
-  std::condition_variable pool_cv_done_;
-  std::uint64_t pool_gen_ = 0;
-  std::uint32_t pool_remaining_ = 0;
-  bool pool_shutdown_ = false;
-  Time window_deadline_ = 0;
-  std::uint64_t window_cap_ = 0;
-#endif
+  Time now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t executed_ = 0;
+  std::size_t pending_ = 0;  // live (non-cancelled) scheduled events
+  std::uint64_t trace_hash_ = 0xcbf29ce484222325ULL;
 };
 
 }  // namespace nvgas::sim

@@ -7,33 +7,12 @@ Fabric::Fabric(const MachineParams& params)
       topology_(params.topology, params.nodes, params.dragonfly_group_size),
       jitter_rng_(params.jitter_seed) {
   NVGAS_CHECK(params_.nodes >= 1);
-  if (params_.threads > 0 && params_.nodes > 1) {
-    // Conservative-parallel mode: one engine lane per node, advancing in
-    // safe windows of the minimum cross-node wire latency (topology hops
-    // and jitter only add on top, so wire_latency_ns is a valid global
-    // lookahead lower bound).
-    NVGAS_CHECK_MSG(params_.wire_latency_ns >= 1,
-                    "sharded engine needs wire_latency_ns >= 1 for lookahead");
-    engine_.configure_shards(static_cast<std::uint32_t>(params_.nodes),
-                             params_.wire_latency_ns, params_.threads);
-    // protolint:allow(P4: simulator-host array, one jitter RNG stream per simulated node for determinism)
-    jitter_rngs_.reserve(static_cast<std::size_t>(params_.nodes));
-    for (int n = 0; n < params_.nodes; ++n) {
-      jitter_rngs_.emplace_back(
-          util::SplitMix64(params_.jitter_seed ^
-                           static_cast<std::uint64_t>(n))
-              .next());
-    }
-  }
-  counters_.resize(engine_.shards());
   // protolint:allow(P4: simulator-host array, the simulated machine's nodes themselves)
   nodes_.reserve(static_cast<std::size_t>(params_.nodes));
   for (int n = 0; n < params_.nodes; ++n) {
     Node node;
     node.cpu = std::make_unique<Cpu>(
-        engine_, n, params_.workers_per_node,
-        counters_[engine_.sharded() ? static_cast<std::size_t>(n) : 0],
-        &trace_);
+        engine_, n, params_.workers_per_node, counters_, &trace_);
     node.nic = std::make_unique<Nic>(*this, n);
     node.mem = std::make_unique<Memory>(params_.mem_bytes_per_node);
     nodes_.push_back(std::move(node));

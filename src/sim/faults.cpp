@@ -17,22 +17,7 @@ bool FaultPlan::active() const {
 }
 
 FaultInjector::FaultInjector(const FaultPlan& plan, Fabric& fabric)
-    : plan_(plan), fabric_(&fabric) {
-  if (fabric.engine().sharded()) {
-    // Seed every link stream up front: link() must never rehash the map
-    // mid-run under the sharded engine (sends on different lanes would
-    // race the insertion). Each stream is thereafter touched only by its
-    // source node's lane.
-    const int n = fabric.nodes();
-    links_.reserve(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-    for (int src = 0; src < n; ++src) {
-      for (int dst = 0; dst < n; ++dst) {
-        if (src == dst) continue;
-        (void)link(src, dst);
-      }
-    }
-  }
-}
+    : plan_(plan), fabric_(&fabric) {}
 
 FaultInjector::LinkState& FaultInjector::link(int src, int dst) {
   const std::uint64_t key = link_key(src, dst);

@@ -86,11 +86,6 @@ struct FaultDecision {
 
 class FaultInjector {
  public:
-  // Counters route through the fabric's current-shard block (per-source
-  // attribution under the sharded engine; the single global block
-  // otherwise). With the sharded engine, every (src, dst) link stream is
-  // pre-seeded here so on_injection never mutates the shared map from a
-  // lane — each link's state is then touched only by its source's lane.
   FaultInjector(const FaultPlan& plan, Fabric& fabric);
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;

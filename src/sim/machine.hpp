@@ -21,15 +21,6 @@ struct MachineParams {
   int workers_per_node = 2;          // schedulable CPU workers per node
   std::size_t mem_bytes_per_node = 64ull << 20;
 
-  // Host threads for the conservative-parallel engine: 0 keeps the
-  // classic single-queue engine; >= 1 shards the engine per node
-  // (lookahead = wire_latency_ns) and runs lane windows on that many
-  // host threads. Requires -DNVGAS_PARALLEL=ON. Trace hashes are
-  // identical for every value >= 1 but differ from the classic engine's
-  // (per-shard sequence numbers); threads=1 is the serial baseline the
-  // parallel runs are diffed against.
-  int threads = 0;
-
   // --- topology ---
   TopologyKind topology = TopologyKind::kFlat;
   int dragonfly_group_size = 4;

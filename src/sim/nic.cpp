@@ -23,7 +23,6 @@ std::int32_t Nic::park_msg(int src, std::uint64_t bytes, Deliver deliver,
     inflight_.emplace_back();
     idx = static_cast<std::int32_t>(inflight_.size() - 1);
   }
-  NVGAS_SHARD_GUARD("nic in-flight pool", node_, &fabric_->engine());
   PendingMsg& m = inflight_[static_cast<std::size_t>(idx)];
   m.src = src;
   m.bytes = bytes;
@@ -40,7 +39,6 @@ void Nic::send(Time depart, int dst, std::uint64_t bytes, Deliver deliver) {
   auto& engine = fabric_->engine();
   const auto& p = fabric_->params();
   NVGAS_CHECK(depart >= engine.now());
-  NVGAS_SHARD_GUARD("nic tx port", node_, &engine);
 
   // tx port serialization.
   tx_avail_ = std::max(depart, tx_avail_) + p.wire_time(bytes);
@@ -79,29 +77,6 @@ void Nic::send(Time depart, int dst, std::uint64_t bytes, Deliver deliver) {
 
   Nic& dst_nic = fabric_->nic(dst);
   const std::uint8_t copies = fd.duplicate ? 2 : 1;
-  if (engine.sharded() && dst != node_) {
-    // Cross-shard wire hop: parking and rx bookkeeping belong to the
-    // destination's lane, so the whole message rides one post() at the
-    // earliest arrival time and the receive side re-schedules the exact
-    // per-copy arrivals locally. post() is never later than the wire
-    // (boundary <= send time + lookahead <= arrival), so timing is
-    // unchanged; the closure carries the Deliver and takes the
-    // InlineFunction heap-fallback path.
-    const Time a0 = at_dst_port + fd.extra_delay;
-    const Time a1 = fd.duplicate ? at_dst_port + fd.dup_extra_delay : a0;
-    // simlint:allow(D5: &dst_nic lives in the Fabric, which outlives the engine)
-    engine.post(static_cast<std::uint32_t>(dst), std::min(a0, a1),
-                [&dst_nic, src = node_, bytes, inj, copies, a0, a1,
-                 d = std::move(deliver)]() mutable {
-                  dst_nic.receive_remote(src, bytes, std::move(d), inj,
-                                         copies, a0, a1);
-                });
-    return;
-  }
-  // Classic-mode wire hop: from here on the message belongs to the
-  // destination NIC's lane — the exact site the sharded engine routes
-  // through post() above, so attribution is mode-invariant.
-  NVGAS_SHARD_HOP(&engine, dst);
   const std::int32_t idx =
       dst_nic.park_msg(node_, bytes, std::move(deliver), inj, copies);
   const Time arrive0 = at_dst_port + fd.extra_delay;
@@ -116,21 +91,9 @@ void Nic::send(Time depart, int dst, std::uint64_t bytes, Deliver deliver) {
   }
 }
 
-void Nic::receive_remote(int src, std::uint64_t bytes, Deliver deliver,
-                         std::uint64_t inj, std::uint8_t copies, Time arrive0,
-                         Time arrive1) {
-  auto& engine = fabric_->engine();
-  const std::int32_t idx = park_msg(src, bytes, std::move(deliver), inj, copies);
-  engine.at(arrive0, [this, idx, arrive0] { arrive(idx, arrive0); });
-  if (copies > 1) {
-    engine.at(arrive1, [this, idx, arrive1] { arrive(idx, arrive1); });
-  }
-}
-
 void Nic::arrive(std::int32_t idx, Time at_port) {
   auto& engine = fabric_->engine();
   const auto& p = fabric_->params();
-  NVGAS_SHARD_GUARD("nic rx port", node_, &engine);
   PendingMsg& m = inflight_[static_cast<std::size_t>(idx)];
 #ifdef NVGAS_SIMSAN
   NVGAS_CHECK_MSG(m.parked,
@@ -151,7 +114,6 @@ void Nic::arrive(std::int32_t idx, Time at_port) {
 }
 
 void Nic::deliver_parked(std::int32_t idx, Time done) {
-  NVGAS_SHARD_GUARD("nic in-flight pool", node_, &fabric_->engine());
   PendingMsg& m = inflight_[static_cast<std::size_t>(idx)];
 #ifdef NVGAS_SIMSAN
   NVGAS_CHECK_MSG(m.parked,
@@ -187,7 +149,6 @@ void Nic::deliver_parked(std::int32_t idx, Time done) {
 }
 
 Time Nic::occupy_command_processor(Time ready, Time cost) {
-  NVGAS_SHARD_GUARD("nic command processor", node_, &fabric_->engine());
   cp_avail_ = std::max(ready, cp_avail_) + cost;
   return cp_avail_;
 }

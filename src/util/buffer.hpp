@@ -136,13 +136,11 @@ class Buffer {
   [[nodiscard]] Reader reader() const { return Reader(*this); }
 
  private:
-  // resize+memcpy (rather than iterator-range insert) keeps GCC 12's
-  // -Wstringop-overflow false positive out of every includer at -O2.
-  void grow_copy(const std::byte* src, std::size_t n) {
-    const std::size_t old = data_.size();
-    data_.resize(old + n);
-    if (n != 0) std::memcpy(data_.data() + old, src, n);
-  }
+  // Append n raw bytes. Defined out of line (buffer.cpp): inlined into
+  // put<T>() with a constant sizeof(T), GCC 12 -O3 misjudges the
+  // vector's size after resize and raises false stringop-overflow and
+  // array-bounds errors in every includer.
+  void grow_copy(const std::byte* src, std::size_t n);
 
   std::vector<std::byte> data_;
 };

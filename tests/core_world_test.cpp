@@ -226,5 +226,23 @@ TEST(World, CountersItemsExposeAllFields) {
   }
 }
 
+// counters_total() is a snapshot of the one machine-wide counter block.
+TEST(World, CountersTotalEqualsFabricCounters) {
+  Config cfg = Config::with_nodes(4, GasMode::kPgas);
+  World world(cfg);
+  world.run_spmd([](Context& ctx) -> Fiber {
+    const Gva g = alloc_cyclic(ctx, 4, 256);
+    (void)co_await fetch_add(ctx, g, 1);
+    free_alloc(ctx, g);
+  });
+  const auto single = world.fabric().counters().items();
+  const auto total = world.counters_total().items();
+  ASSERT_EQ(single.size(), total.size());
+  for (std::size_t i = 0; i < single.size(); ++i) {
+    EXPECT_EQ(single[i].second, total[i].second) << single[i].first;
+  }
+  EXPECT_GT(world.counters_total().gas_atomics, 0u);
+}
+
 }  // namespace
 }  // namespace nvgas

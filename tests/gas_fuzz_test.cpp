@@ -14,6 +14,10 @@ namespace {
 
 struct FuzzParam {
   GasMode mode;
+  // gtest names each instance "# GetParam() = N-byte object <..>" from
+  // every byte of the param; compiler padding there is uninitialized and
+  // would make the names differ from one build to the next.
+  std::uint8_t padding[7] = {};
   std::uint64_t seed;
 };
 
@@ -155,13 +159,14 @@ TEST_P(GasFuzzTest, ConcurrentDisjointRegionsMatchReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     Fuzz, GasFuzzTest,
-    ::testing::Values(FuzzParam{GasMode::kPgas, 1}, FuzzParam{GasMode::kPgas, 2},
-                      FuzzParam{GasMode::kAgasSw, 1},
-                      FuzzParam{GasMode::kAgasSw, 2},
-                      FuzzParam{GasMode::kAgasSw, 3},
-                      FuzzParam{GasMode::kAgasNet, 1},
-                      FuzzParam{GasMode::kAgasNet, 2},
-                      FuzzParam{GasMode::kAgasNet, 3}),
+    ::testing::Values(FuzzParam{.mode = GasMode::kPgas, .seed = 1},
+                      FuzzParam{.mode = GasMode::kPgas, .seed = 2},
+                      FuzzParam{.mode = GasMode::kAgasSw, .seed = 1},
+                      FuzzParam{.mode = GasMode::kAgasSw, .seed = 2},
+                      FuzzParam{.mode = GasMode::kAgasSw, .seed = 3},
+                      FuzzParam{.mode = GasMode::kAgasNet, .seed = 1},
+                      FuzzParam{.mode = GasMode::kAgasNet, .seed = 2},
+                      FuzzParam{.mode = GasMode::kAgasNet, .seed = 3}),
     fuzz_name);
 
 }  // namespace

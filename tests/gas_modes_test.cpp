@@ -11,6 +11,10 @@ namespace {
 
 struct ModeParam {
   GasMode mode;
+  // gtest names each instance "# GetParam() = N-byte object <..>" from
+  // every byte of the param; compiler padding there is uninitialized and
+  // would make the names differ from one build to the next.
+  std::uint8_t padding[3] = {};
   int nodes;
 };
 
@@ -222,11 +226,12 @@ TEST_P(GasModesTest, DeterministicAcrossRuns) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllModes, GasModesTest,
-    ::testing::Values(ModeParam{GasMode::kPgas, 2}, ModeParam{GasMode::kPgas, 8},
-                      ModeParam{GasMode::kAgasSw, 2},
-                      ModeParam{GasMode::kAgasSw, 8},
-                      ModeParam{GasMode::kAgasNet, 2},
-                      ModeParam{GasMode::kAgasNet, 8}),
+    ::testing::Values(ModeParam{.mode = GasMode::kPgas, .nodes = 2},
+                      ModeParam{.mode = GasMode::kPgas, .nodes = 8},
+                      ModeParam{.mode = GasMode::kAgasSw, .nodes = 2},
+                      ModeParam{.mode = GasMode::kAgasSw, .nodes = 8},
+                      ModeParam{.mode = GasMode::kAgasNet, .nodes = 2},
+                      ModeParam{.mode = GasMode::kAgasNet, .nodes = 8}),
     param_name);
 
 }  // namespace

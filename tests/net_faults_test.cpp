@@ -29,6 +29,10 @@ enum class FaultKind { kDrop1, kDrop10, kDup5, kDelayReorder, kBrownout };
 struct FaultParam {
   FaultKind kind;
   GasMode mode;
+  // gtest names each instance "# GetParam() = N-byte object <..>" from
+  // every byte of the param; compiler padding there is uninitialized and
+  // would make the names differ from one build to the next.
+  std::uint8_t padding[3] = {};
 };
 
 sim::FaultPlan make_plan(FaultKind kind) {

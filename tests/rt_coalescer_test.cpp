@@ -96,10 +96,14 @@ TEST_F(CoalescerFixture, MixedActionsInOneBatch) {
   std::vector<std::string> log;
   const auto a = register_action<int>(
       world.runtime().actions(), "co.a",
-      [&](Context&, int, int v) { log.push_back("a" + std::to_string(v)); });
+      [&](Context&, int, int v) {
+        log.push_back(std::string("a").append(std::to_string(v)));
+      });
   const auto b = register_action<double>(
       world.runtime().actions(), "co.b",
-      [&](Context&, int, double v) { log.push_back("b" + std::to_string(static_cast<int>(v))); });
+      [&](Context&, int, double v) {
+        log.push_back(std::string("b").append(std::to_string(static_cast<int>(v))));
+      });
   world.spawn(0, [&](Context& ctx) -> Fiber {
     co.send(ctx, 1, a, pack_args(1));
     co.send(ctx, 1, b, pack_args(2.0));

@@ -4,6 +4,7 @@
 // the after() overflow guard.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -232,6 +233,38 @@ TEST(EngineWheel, ReanchorsAfterLongIdleGap) {
   e.after(3, [&] { seen = e.now(); });
   e.run();
   EXPECT_EQ(seen, 100 * kSecond + 3);
+}
+
+// `at(std::max(t, now()), fn)` is how callers hand off work "no earlier
+// than t" when t may already be in the past: a stale t clamps to now(),
+// and co-timed events still run in scheduling (seq) order.
+TEST(EngineWheel, ClampedAtRunsAtNowInSchedulingOrder) {
+  Engine e;
+  std::vector<int> order;
+  e.at(std::max<Time>(20, e.now()), [&] { order.push_back(2); });
+  e.at(std::max<Time>(10, e.now()), [&] { order.push_back(1); });
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(e.now(), 20u);
+
+  std::vector<Time> ran_at;
+  e.at(e.now(), [&] {
+    ran_at.push_back(e.now());
+    order.push_back(3);
+    // From inside an event at t=20: both stale times clamp to 20 and
+    // run after this event, in the order they were scheduled.
+    e.at(std::max<Time>(5, e.now()), [&] {
+      ran_at.push_back(e.now());
+      order.push_back(4);
+    });
+    e.at(std::max<Time>(15, e.now()), [&] {
+      ran_at.push_back(e.now());
+      order.push_back(5);
+    });
+  });
+  e.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(ran_at, (std::vector<Time>{20, 20, 20}));
 }
 
 TEST(EngineWheel, SteadyStateRecyclesNodesAcrossManyHorizons) {

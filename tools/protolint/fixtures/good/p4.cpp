@@ -1,12 +1,12 @@
 // protolint fixture (not compiled): P4 clean patterns.
 // O(P) sites carry a sparse/pooled justification; the sparse map of
-// active peers is the shape ROADMAP item 2 asks for and is not flagged.
+// active peers is the shape ROADMAP item 5 asks for and is not flagged.
 
 namespace gx4 {
 
 struct Windows {
   explicit Windows(const Fabric& fabric)
-      // protolint:allow(P4: fixture justification, windows pooled over active peers under ROADMAP item 2)
+      // protolint:allow(P4: fixture justification, windows pooled over active peers under ROADMAP item 5)
       : dense_(static_cast<std::size_t>(fabric.nodes())) {}
 
   void rebuild(const World& world) {

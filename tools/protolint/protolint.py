@@ -38,7 +38,7 @@ Rules (see docs/STATIC_ANALYSIS.md for the full rationale):
       forever.
   P4  state growth. A container resized/reserved/assigned or
       constructor-initialized to the node count is O(P) state per node
-      and blocks the 1024-node scale-out (ROADMAP item 2). Every such
+      and blocks the 1024-node scale-out (ROADMAP item 5). Every such
       site must either become O(active peers) or carry a
       `protolint:allow(P4: <sparse/pooled justification>)`.
   P5  RTO cancellation. Every armed cancellable timer
