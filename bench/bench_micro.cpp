@@ -66,6 +66,25 @@ void BM_NicTlbInsertEvict(benchmark::State& state) {
 }
 BENCHMARK(BM_NicTlbInsertEvict);
 
+// The gups-net pattern: lookup, and on a miss install the translation the
+// reply piggybacks. Uniform keys over ~16x the default capacity give a
+// ~94% miss ratio, so nearly every op is miss + insert + LRU eviction.
+void BM_NicTlbMissInsert(benchmark::State& state) {
+  constexpr std::uint64_t kCapacity = 65536;  // AgasNetConfig default
+  net::NicTlb tlb(kCapacity);
+  util::Rng rng(11);
+  net::TlbEntry e;
+  e.owner = 1;
+  for (auto _ : state) {
+    const std::uint64_t key = rng.below(16 * kCapacity) << 20;
+    if (!tlb.lookup(key).has_value()) tlb.insert(key, e);
+  }
+  state.counters["miss_ratio"] =
+      static_cast<double>(tlb.misses()) /
+      static_cast<double>(tlb.hits() + tlb.misses());
+}
+BENCHMARK(BM_NicTlbMissInsert);
+
 void BM_TranslationCacheLookup(benchmark::State& state) {
   gas::TranslationCache cache(4096);
   for (std::uint64_t i = 0; i < 4096; ++i) {

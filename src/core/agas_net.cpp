@@ -1,5 +1,6 @@
 #include "core/agas_net.hpp"
 
+#include <limits>
 #include <utility>
 
 #include "gas/invariants.hpp"
@@ -43,7 +44,7 @@ AgasNet::AgasNet(sim::Fabric& fabric, net::EndpointGroup& endpoints,
   // protolint:allow(P4: host array of capacity-bounded per-node TLB devices)
   tlbs_.reserve(static_cast<std::size_t>(fabric.nodes()));
   for (int n = 0; n < fabric.nodes(); ++n) {
-    tlbs_.push_back(std::make_unique<net::NicTlb>(config_.tlb_capacity));
+    tlbs_.emplace_back(config_.tlb_capacity);
   }
   // The home directory is the AGAS authoritative map, one slot per
   // home node; ROADMAP item 5 makes per-node state sparse.
@@ -72,56 +73,74 @@ gas::Gva AgasNet::alloc(sim::TaskCtx& task, int node, gas::Dist dist,
 // Data path.
 // ---------------------------------------------------------------------------
 
-void AgasNet::issue(sim::TaskCtx& task, int node, Op op) {
+AgasNet::OpId AgasNet::new_op() {
+  if (free_ops_.empty()) {
+    NVGAS_CHECK(op_slots_ < std::numeric_limits<OpId>::max());
+    if (op_slots_ % kOpsPerBlock == 0) {
+      op_blocks_.push_back(std::make_unique<Op[]>(kOpsPerBlock));
+    }
+    return op_slots_++;
+  }
+  const OpId id = free_ops_.back();
+  free_ops_.pop_back();
+  return id;
+}
+
+void AgasNet::release_op(OpId id) {
+  op(id) = Op{};
+  free_ops_.push_back(id);
+}
+
+void AgasNet::issue(sim::TaskCtx& task, int node, OpId id) {
   auto& counters = fabric_->counters();
+  const std::uint64_t key = op(id).key;
   // CPU posts the descriptor; everything after is NIC work.
   task.charge(ep(node).post_cost());
   auto& nic = fabric_->nic(node);
   const sim::Time looked_up = nic.occupy_command_processor(
       task.now(), fabric_->params().nic_tlb_ns);
 
-  const auto hit = tlb_mut(node).lookup(op.key);
+  const auto hit = tlb_mut(node).lookup(key);
   if (hit.has_value()) {
     ++counters.nic_tlb_hits;
     if (hit->owner == node && !hit->in_flight) {
       // Local fast path: the block is here; a plain memcpy suffices.
-      execute(looked_up, node, *hit, std::move(op));
+      execute(looked_up, node, *hit, id);
       return;
     }
-    send_op(looked_up, node, hit->owner, std::move(op));
+    send_op(looked_up, node, hit->owner, id);
     return;
   }
   ++counters.nic_tlb_misses;
-  const int home = home_of(base_of_key(op.key));
+  const int home = home_of(base_of_key(key));
   if (home == node) {
     // We ARE the home but hold no entry — only possible for a foreign
     // (unallocated) address.
     NVGAS_CHECK_MSG(false, "gva op on unallocated address");
   }
-  send_op(looked_up, node, home, std::move(op));
+  send_op(looked_up, node, home, id);
 }
 
-void AgasNet::send_op(sim::Time depart, int from, int to, Op op) {
-  NVGAS_CHECK_MSG(op.hops < kMaxHops, "gva op forwarding loop");
-  ++op.hops;
-  const std::uint64_t bytes = op.wire_bytes();
-  ep(from).raw_send(depart, to, bytes,
-                    [this, to, op = std::move(op)](sim::Time t) mutable {
-                      route(t, to, std::move(op));
-                    });
+void AgasNet::send_op(sim::Time depart, int from, int to, OpId id) {
+  Op& o = op(id);
+  NVGAS_CHECK_MSG(o.hops < kMaxHops, "gva op forwarding loop");
+  ++o.hops;
+  ep(from).raw_send(depart, to, o.wire_bytes(),
+                    [this, to, id](sim::Time t) { route(t, to, id); });
 }
 
-void AgasNet::route(sim::Time t, int at, Op op) {
+void AgasNet::route(sim::Time t, int at, OpId id) {
   auto& counters = fabric_->counters();
   auto& nic = fabric_->nic(at);
   const sim::Time looked_up =
       nic.occupy_command_processor(t, fabric_->params().nic_tlb_ns);
 
-  net::TlbEntry* e = tlb_mut(at).find(op.key);
-  const int home = home_of(base_of_key(op.key));
+  Op& o = op(id);
+  net::TlbEntry* e = tlb_mut(at).find(o.key);
+  const int home = home_of(base_of_key(o.key));
 
   if (e != nullptr && e->owner == at && !e->in_flight) {
-    execute(looked_up, at, *e, std::move(op));
+    execute(looked_up, at, *e, id);
     return;
   }
 
@@ -130,14 +149,14 @@ void AgasNet::route(sim::Time t, int at, Op op) {
     if (e->in_flight) {
       // Block is mid-migration: the home queues the op and re-dispatches
       // it at commit (no CPU anywhere).
-      hstate(op.key).queued_ops[op.key].push_back(std::move(op));
+      hstate(o.key).queued_ops[o.key].push_back(id);
       return;
     }
     // Authoritative forward.
     ++counters.nic_forwards;
     const sim::Time fwd =
         nic.occupy_command_processor(looked_up, fabric_->params().nic_fwd_ns);
-    send_op(fwd, at, e->owner, std::move(op));
+    send_op(fwd, at, e->owner, id);
     return;
   }
 
@@ -145,31 +164,31 @@ void AgasNet::route(sim::Time t, int at, Op op) {
   if (config_.nack_on_stale) {
     // NACK back to the source; its NIC drops the entry and retries via
     // the home. (R-T3 ablation: costs a full extra round trip.)
-    const int src = op.src;
+    const int src = o.src;
     const sim::Time nack_t =
         nic.occupy_command_processor(looked_up, fabric_->params().nic_fwd_ns);
-    ep(at).raw_send(
-        nack_t, src, kCtrlBytes, [this, src, op = std::move(op)](sim::Time t2) mutable {
-          auto& src_nic = fabric_->nic(src);
-          const sim::Time done = src_nic.occupy_command_processor(
-              t2, fabric_->params().nic_tlb_ns);
-          const int home2 = home_of(base_of_key(op.key));
-          if (src != home2) tlb_mut(src).erase(op.key);  // never the pinned entry
-          send_op(done, src, home2, std::move(op));
-        });
+    ep(at).raw_send(nack_t, src, kCtrlBytes, [this, src, id](sim::Time t2) {
+      auto& src_nic = fabric_->nic(src);
+      const sim::Time done =
+          src_nic.occupy_command_processor(t2, fabric_->params().nic_tlb_ns);
+      const std::uint64_t key = op(id).key;
+      const int home2 = home_of(base_of_key(key));
+      if (src != home2) tlb_mut(src).erase(key);  // never the pinned entry
+      send_op(done, src, home2, id);
+    });
     return;
   }
 
-  if (e != nullptr && e->owner != at && config_.forward_hints && !op.used_hint) {
+  if (e != nullptr && e->owner != at && config_.forward_hints && !o.used_hint) {
     // Previous-owner hint: forward straight to where the block went. Only
     // one hint hop is allowed per op — after that the home (which queues
     // during an in-flight migration) is authoritative — so two NICs with
     // mutually stale hints cannot bounce an op between themselves.
-    op.used_hint = true;
+    o.used_hint = true;
     ++counters.nic_forwards;
     const sim::Time fwd =
         nic.occupy_command_processor(looked_up, fabric_->params().nic_fwd_ns);
-    send_op(fwd, at, e->owner, std::move(op));
+    send_op(fwd, at, e->owner, id);
     return;
   }
 
@@ -177,103 +196,105 @@ void AgasNet::route(sim::Time t, int at, Op op) {
   ++counters.nic_forwards;
   const sim::Time fwd =
       nic.occupy_command_processor(looked_up, fabric_->params().nic_fwd_ns);
-  send_op(fwd, at, home, std::move(op));
+  send_op(fwd, at, home, id);
 }
 
 void AgasNet::execute(sim::Time t, int owner, const net::TlbEntry& entry,
-                      Op op) {
+                      OpId id) {
   auto& nic = fabric_->nic(owner);
   const auto& p = fabric_->params();
-  const sim::Lva lva = entry.base + op.offset;
+  Op& o = op(id);
+  o.entry = entry;
+  const sim::Lva lva = entry.base + o.offset;
 
-  switch (op.kind) {
+  switch (o.kind) {
     case Op::Kind::kPut: {
       const sim::Time done =
-          nic.occupy_command_processor(t, p.nic_dma_ns + p.copy_time(op.data.size()));
-      fabric_->engine().at(done, [this, owner, lva, entry, done,
-                                  op = std::move(op)]() mutable {
-        fabric_->mem(owner).write(lva, op.data);
-        if (op.on_remote) op.on_remote(done);  // remote completion ledger
-        reply(done, owner, entry, std::move(op), {}, 0);
+          nic.occupy_command_processor(t, p.nic_dma_ns + p.copy_time(o.data.size()));
+      fabric_->engine().at(done, [this, owner, lva, done, id] {
+        Op& put = op(id);
+        fabric_->mem(owner).write(lva, put.data);
+        if (put.on_remote) put.on_remote(done);  // remote completion ledger
+        reply(done, owner, id);
       });
       break;
     }
     case Op::Kind::kGet: {
       const sim::Time done =
-          nic.occupy_command_processor(t, p.nic_dma_ns + p.copy_time(op.len));
-      fabric_->engine().at(done, [this, owner, lva, entry, done,
-                                  op = std::move(op)]() mutable {
-        std::vector<std::byte> data = fabric_->mem(owner).read_vec(lva, op.len);
-        reply(done, owner, entry, std::move(op), std::move(data), 0);
+          nic.occupy_command_processor(t, p.nic_dma_ns + p.copy_time(o.len));
+      fabric_->engine().at(done, [this, owner, lva, done, id] {
+        Op& get = op(id);
+        get.data = fabric_->mem(owner).read_vec(lva, get.len);
+        reply(done, owner, id);
       });
       break;
     }
     case Op::Kind::kFadd: {
       const sim::Time done = nic.occupy_command_processor(t, p.nic_atomic_ns);
-      fabric_->engine().at(done, [this, owner, lva, entry, done,
-                                  op = std::move(op)]() mutable {
-        const std::uint64_t old =
-            fabric_->mem(owner).fetch_add_u64(lva, op.operand);
-        reply(done, owner, entry, std::move(op), {}, old);
+      fabric_->engine().at(done, [this, owner, lva, done, id] {
+        Op& fadd = op(id);
+        fadd.fadd_old = fabric_->mem(owner).fetch_add_u64(lva, fadd.operand);
+        reply(done, owner, id);
       });
       break;
     }
   }
 }
 
-void AgasNet::reply(sim::Time depart, int owner, const net::TlbEntry& entry,
-                    Op op, std::vector<std::byte> get_data,
-                    std::uint64_t fadd_old) {
-  const int src = op.src;
+void AgasNet::reply(sim::Time depart, int owner, OpId id) {
+  Op& o = op(id);
+  const int src = o.src;
   if (src == owner) {
     // Local op: complete immediately, no ack message.
-    switch (op.kind) {
-      case Op::Kind::kPut:
-        if (op.on_done) op.on_done(depart);
-        break;
-      case Op::Kind::kGet:
-        if (op.on_data) op.on_data(depart, std::move(get_data));
-        break;
-      case Op::Kind::kFadd:
-        if (op.on_u64) op.on_u64(depart, fadd_old);
-        break;
-    }
+    complete(depart, id);
     return;
   }
 
   const std::uint64_t bytes =
-      kAckBytes + (op.kind == Op::Kind::kGet ? get_data.size() : 0);
-  net::TlbEntry update = entry;  // piggybacked translation
-  update.pinned = false;
-  update.in_flight = false;
+      kAckBytes + (o.kind == Op::Kind::kGet ? o.data.size() : 0);
+  o.entry.pinned = false;  // the piggybacked translation
+  o.entry.in_flight = false;
 
-  ep(owner).raw_send(
-      depart, src, bytes,
-      [this, src, update, fadd_old, op = std::move(op),
-       get_data = std::move(get_data)](sim::Time t) mutable {
-        auto& src_nic = fabric_->nic(src);
-        const auto& p = fabric_->params();
-        sim::Time done = src_nic.occupy_command_processor(t, p.nic_tlb_ns);
-        maybe_piggyback(src, op.key, update);
-        if (op.kind == Op::Kind::kGet) {
-          done = src_nic.occupy_command_processor(
-              done, p.nic_dma_ns + p.copy_time(get_data.size()));
-        }
-        fabric_->engine().at(done, [done, fadd_old, op = std::move(op),
-                                    get_data = std::move(get_data)]() mutable {
-          switch (op.kind) {
-            case Op::Kind::kPut:
-              if (op.on_done) op.on_done(done);
-              break;
-            case Op::Kind::kGet:
-              if (op.on_data) op.on_data(done, std::move(get_data));
-              break;
-            case Op::Kind::kFadd:
-              if (op.on_u64) op.on_u64(done, fadd_old);
-              break;
-          }
-        });
-      });
+  ep(owner).raw_send(depart, src, bytes, [this, src, id](sim::Time t) {
+    Op& r = op(id);
+    auto& src_nic = fabric_->nic(src);
+    const auto& p = fabric_->params();
+    sim::Time done = src_nic.occupy_command_processor(t, p.nic_tlb_ns);
+    maybe_piggyback(src, r.key, r.entry);
+    if (r.kind == Op::Kind::kGet) {
+      done = src_nic.occupy_command_processor(
+          done, p.nic_dma_ns + p.copy_time(r.data.size()));
+    }
+    fabric_->engine().at(done, [this, done, id] { complete(done, id); });
+  });
+}
+
+void AgasNet::complete(sim::Time t, OpId id) {
+  // Move the completion out and free the slot before running it: the
+  // callback may issue the next op, which can then reuse this slot.
+  Op& o = op(id);
+  switch (o.kind) {
+    case Op::Kind::kPut: {
+      net::OnDone done = std::move(o.on_done);
+      release_op(id);
+      if (done) done(t);
+      break;
+    }
+    case Op::Kind::kGet: {
+      net::OnData done = std::move(o.on_data);
+      std::vector<std::byte> data = std::move(o.data);
+      release_op(id);
+      if (done) done(t, std::move(data));
+      break;
+    }
+    case Op::Kind::kFadd: {
+      net::OnU64 done = std::move(o.on_u64);
+      const std::uint64_t old = o.fadd_old;
+      release_op(id);
+      if (done) done(t, old);
+      break;
+    }
+  }
 }
 
 void AgasNet::memput(sim::TaskCtx& task, int node, gas::Gva dst,
@@ -287,23 +308,24 @@ void AgasNet::memput_notify(sim::TaskCtx& task, int node, gas::Gva dst,
   heap_->check_extent(dst, data.size());
   ++fabric_->counters().gas_memputs;
   note_access(node, dst);
-  Op op;
-  op.kind = Op::Kind::kPut;
-  op.src = node;
-  op.key = dst.block_key();
-  op.offset = dst.offset();
-  op.data = std::move(data);
-  op.on_done = std::move(done);
-  op.on_remote = instrument_signal(std::move(remote_notify));
+  const OpId id = new_op();
+  Op& o = op(id);
+  o.kind = Op::Kind::kPut;
+  o.src = node;
+  o.key = dst.block_key();
+  o.offset = dst.offset();
+  o.data = std::move(data);
+  o.on_done = std::move(done);
+  o.on_remote = instrument_signal(std::move(remote_notify));
   if (observer_ != nullptr) {
-    observer_->on_remote_op_begin(node, op.key);
-    op.on_done = [obs = observer_, node, key = op.key,
-                  inner = std::move(op.on_done)](sim::Time t) {
+    observer_->on_remote_op_begin(node, o.key);
+    o.on_done = [obs = observer_, node, key = o.key,
+                 inner = std::move(o.on_done)](sim::Time t) {
       obs->on_remote_op_end(node, key);
       if (inner) inner(t);
     };
   }
-  issue(task, node, std::move(op));
+  issue(task, node, id);
 }
 
 void AgasNet::memget(sim::TaskCtx& task, int node, gas::Gva src,
@@ -311,23 +333,24 @@ void AgasNet::memget(sim::TaskCtx& task, int node, gas::Gva src,
   heap_->check_extent(src, len);
   ++fabric_->counters().gas_memgets;
   note_access(node, src);
-  Op op;
-  op.kind = Op::Kind::kGet;
-  op.src = node;
-  op.key = src.block_key();
-  op.offset = src.offset();
-  op.len = static_cast<std::uint32_t>(len);
-  op.on_data = std::move(done);
+  const OpId id = new_op();
+  Op& o = op(id);
+  o.kind = Op::Kind::kGet;
+  o.src = node;
+  o.key = src.block_key();
+  o.offset = src.offset();
+  o.len = static_cast<std::uint32_t>(len);
+  o.on_data = std::move(done);
   if (observer_ != nullptr) {
-    observer_->on_remote_op_begin(node, op.key);
-    op.on_data = [obs = observer_, node, key = op.key,
-                  inner = std::move(op.on_data)](sim::Time t,
-                                                 std::vector<std::byte> d) {
+    observer_->on_remote_op_begin(node, o.key);
+    o.on_data = [obs = observer_, node, key = o.key,
+                 inner = std::move(o.on_data)](sim::Time t,
+                                               std::vector<std::byte> d) {
       obs->on_remote_op_end(node, key);
       if (inner) inner(t, std::move(d));
     };
   }
-  issue(task, node, std::move(op));
+  issue(task, node, id);
 }
 
 void AgasNet::fetch_add(sim::TaskCtx& task, int node, gas::Gva addr,
@@ -335,22 +358,23 @@ void AgasNet::fetch_add(sim::TaskCtx& task, int node, gas::Gva addr,
   heap_->check_extent(addr, sizeof(std::uint64_t));
   ++fabric_->counters().gas_atomics;
   note_access(node, addr);
-  Op op;
-  op.kind = Op::Kind::kFadd;
-  op.src = node;
-  op.key = addr.block_key();
-  op.offset = addr.offset();
-  op.operand = operand;
-  op.on_u64 = std::move(done);
+  const OpId id = new_op();
+  Op& o = op(id);
+  o.kind = Op::Kind::kFadd;
+  o.src = node;
+  o.key = addr.block_key();
+  o.offset = addr.offset();
+  o.operand = operand;
+  o.on_u64 = std::move(done);
   if (observer_ != nullptr) {
-    observer_->on_remote_op_begin(node, op.key);
-    op.on_u64 = [obs = observer_, node, key = op.key,
-                 inner = std::move(op.on_u64)](sim::Time t, std::uint64_t v) {
+    observer_->on_remote_op_begin(node, o.key);
+    o.on_u64 = [obs = observer_, node, key = o.key,
+                inner = std::move(o.on_u64)](sim::Time t, std::uint64_t v) {
       obs->on_remote_op_end(node, key);
       if (inner) inner(t, v);
     };
   }
-  issue(task, node, std::move(op));
+  issue(task, node, id);
 }
 
 void AgasNet::resolve(sim::TaskCtx& task, int node, gas::Gva addr,
@@ -565,10 +589,10 @@ void AgasNet::mig_commit(sim::Time t, gas::Gva block_base) {
     auto ops = std::move(qit->second);
     hs.queued_ops.erase(qit);
     sim::Time depart = committed;
-    for (auto& op : ops) {
+    for (const OpId id : ops) {
       depart = hnic.occupy_command_processor(depart, fabric_->params().nic_fwd_ns);
       ++counters.nic_forwards;
-      send_op(depart, home, mig.dst, std::move(op));
+      send_op(depart, home, mig.dst, id);
     }
   }
 
@@ -606,7 +630,7 @@ std::pair<int, sim::Lva> AgasNet::drop_block_state(gas::Gva block_base) {
                   "free_alloc with queued migrations");
   const std::pair<int, sim::Lva> place{e->owner, e->base};
   // Collective free: every NIC drops its entry (pinned or cached).
-  for (auto& tlb : tlbs_) tlb->erase(key);
+  for (auto& tlb : tlbs_) tlb.erase(key);
   return place;
 }
 
@@ -683,6 +707,10 @@ std::string AgasNet::audit_quiescent() const {
   }
   if (qmigs != 0) {
     return util::format("%zu block(s) still hold queued migrations", qmigs);
+  }
+  if (live_ops() != 0) {
+    return util::format("%zu GAS op(s) issued and never completed",
+                        live_ops());
   }
   const int n_nodes = fabric_->nodes();
   for (int n = 0; n < n_nodes; ++n) {

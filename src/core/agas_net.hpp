@@ -79,7 +79,11 @@ class AgasNet final : public gas::GasBase {
   [[nodiscard]] std::string audit_quiescent() const override;
 
   [[nodiscard]] const net::NicTlb& tlb(int node) const {
-    return *tlbs_.at(static_cast<std::size_t>(node));
+    return tlbs_.at(static_cast<std::size_t>(node));
+  }
+  // Ops issued and not yet completed; 0 at quiescence.
+  [[nodiscard]] std::size_t live_ops() const {
+    return op_slots_ - free_ops_.size();
   }
   [[nodiscard]] const AgasNetConfig& config() const { return config_; }
 
@@ -87,13 +91,18 @@ class AgasNet final : public gas::GasBase {
   std::pair<int, sim::Lva> drop_block_state(gas::Gva block_base) override;
 
  private:
+  // An in-flight GAS op. It lives in the op slab (op_blocks_) from
+  // issue() until its completion runs, and every closure handed to the
+  // wire or the engine carries only its OpId, so the closures stay inside
+  // the 48-byte inline buffers and the data path allocates nothing.
+  using OpId = std::uint32_t;
   struct Op {
     enum class Kind : std::uint8_t { kPut, kGet, kFadd };
     Kind kind = Kind::kPut;
     int src = -1;
     std::uint64_t key = 0;
     std::uint32_t offset = 0;
-    std::vector<std::byte> data;   // put payload
+    std::vector<std::byte> data;   // put payload; the GET reply payload
     std::uint32_t len = 0;         // get length
     std::uint64_t operand = 0;     // fadd operand
     int hops = 0;
@@ -102,6 +111,9 @@ class AgasNet final : public gas::GasBase {
     net::OnData on_data;
     net::OnU64 on_u64;
     net::OnDone on_remote;  // put-with-remote-notification (ledger)
+    // Filled at the owner for the reply.
+    net::TlbEntry entry;         // owner's translation, piggybacked
+    std::uint64_t fadd_old = 0;  // fetch_add result
 
     [[nodiscard]] std::uint64_t wire_bytes() const;
   };
@@ -119,7 +131,7 @@ class AgasNet final : public gas::GasBase {
   };
 
   [[nodiscard]] net::NicTlb& tlb_mut(int node) {
-    return *tlbs_.at(static_cast<std::size_t>(node));
+    return tlbs_.at(static_cast<std::size_t>(node));
   }
   [[nodiscard]] int home_of(gas::Gva block_base) const {
     return block_base.home(fabric_->nodes());
@@ -128,23 +140,31 @@ class AgasNet final : public gas::GasBase {
     return gas::Gva(key);
   }
 
+  // Op slab: a fresh default slot, the slot behind an id, and release.
+  [[nodiscard]] OpId new_op();
+  [[nodiscard]] Op& op(OpId id) {
+    return op_blocks_[id / kOpsPerBlock][id % kOpsPerBlock];
+  }
+  void release_op(OpId id);
+
   // Source-side issue: CPU posts the descriptor, the source NIC looks up
   // its TLB and targets the owner or the home.
-  void issue(sim::TaskCtx& task, int node, Op op);
+  void issue(sim::TaskCtx& task, int node, OpId id);
 
   // NIC-level routing at `at` when the op message arrives (time `t` is
   // post-rx-port).
-  void route(sim::Time t, int at, Op op);
-  void send_op(sim::Time depart, int from, int to, Op op);
+  void route(sim::Time t, int at, OpId id);
+  void send_op(sim::Time depart, int from, int to, OpId id);
 
   // Execute at the verified owner.
-  void execute(sim::Time t, int owner, const net::TlbEntry& entry, Op op);
+  void execute(sim::Time t, int owner, const net::TlbEntry& entry, OpId id);
   // Install a piggybacked translation update at `node` (skipped at the
   // block's home, whose pinned entry is authoritative).
   void maybe_piggyback(int node, std::uint64_t key, const net::TlbEntry& update);
   // Ack/reply to the source, with optional piggybacked TLB update.
-  void reply(sim::Time depart, int owner, const net::TlbEntry& entry, Op op,
-             std::vector<std::byte> get_data, std::uint64_t fadd_old);
+  void reply(sim::Time depart, int owner, OpId id);
+  // Release the slot and run the op's completion.
+  void complete(sim::Time t, OpId id);
 
   // Migration steps (NIC-level at the home except the dst allocation).
   void mig_request(sim::Time t, gas::Gva block_base, int dst, int initiator,
@@ -162,7 +182,7 @@ class AgasNet final : public gas::GasBase {
     // simlint:allow(D1: keyed find/erase only, never iterated)
     std::unordered_map<std::uint64_t, Migration> migrations;
     // simlint:allow(D1: vector extracted per key; the map is never iterated)
-    std::unordered_map<std::uint64_t, std::vector<Op>> queued_ops;
+    std::unordered_map<std::uint64_t, std::vector<OpId>> queued_ops;
     // simlint:allow(D1: vector extracted per key; the map is never iterated)
     std::unordered_map<std::uint64_t, std::vector<PendingMigration>> queued_migs;
   };
@@ -171,8 +191,14 @@ class AgasNet final : public gas::GasBase {
   }
 
   AgasNetConfig config_;
-  std::vector<std::unique_ptr<net::NicTlb>> tlbs_;
+  std::vector<net::NicTlb> tlbs_;
   std::vector<HomeState> homes_;
+  // Fixed-size blocks keep an Op's address stable while callbacks stored
+  // in it run, even if they issue further ops and the slab grows.
+  static constexpr std::uint32_t kOpsPerBlock = 64;
+  std::vector<std::unique_ptr<Op[]>> op_blocks_;
+  std::uint32_t op_slots_ = 0;  // slots ever handed out
+  std::vector<OpId> free_ops_;
 };
 
 }  // namespace nvgas::core

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/nvgas.hpp"
+#include "kvstore/harness.hpp"
 
 namespace nvgas {
 namespace {
@@ -100,29 +101,29 @@ TEST(AgasNetWhitebox, TlbRolesThroughAMigration) {
   const auto key = block.block_key();
 
   // Home (2): pinned, authoritative, generation 2.
-  const auto home_e = const_cast<net::NicTlb&>(net.tlb(2)).lookup(key);
-  ASSERT_TRUE(home_e.has_value());
+  const auto* home_e = net.tlb(2).peek(key);
+  ASSERT_NE(home_e, nullptr);
   EXPECT_TRUE(home_e->pinned);
   EXPECT_EQ(home_e->owner, 4);
   EXPECT_EQ(home_e->generation, 2u);
   EXPECT_FALSE(home_e->in_flight);
 
   // Current owner (4): pinned owned entry.
-  const auto owner_e = const_cast<net::NicTlb&>(net.tlb(4)).lookup(key);
-  ASSERT_TRUE(owner_e.has_value());
+  const auto* owner_e = net.tlb(4).peek(key);
+  ASSERT_NE(owner_e, nullptr);
   EXPECT_TRUE(owner_e->pinned);
   EXPECT_EQ(owner_e->owner, 4);
 
   // Previous owner (6): unpinned forwarding hint to 4.
-  const auto hint_e = const_cast<net::NicTlb&>(net.tlb(6)).lookup(key);
-  ASSERT_TRUE(hint_e.has_value());
+  const auto* hint_e = net.tlb(6).peek(key);
+  ASSERT_NE(hint_e, nullptr);
   EXPECT_FALSE(hint_e->pinned);
   EXPECT_EQ(hint_e->owner, 4);
 
   // Stale source (0): unpinned cached entry pointing at the FIRST
   // location it learned (the home, who owned at warmup).
-  const auto src_e = const_cast<net::NicTlb&>(net.tlb(0)).lookup(key);
-  ASSERT_TRUE(src_e.has_value());
+  const auto* src_e = net.tlb(0).peek(key);
+  ASSERT_NE(src_e, nullptr);
   EXPECT_FALSE(src_e->pinned);
   EXPECT_EQ(src_e->owner, 2);
 }
@@ -139,8 +140,8 @@ TEST(AgasNetWhitebox, PiggybackRepairsStaleSourceAfterOneAccess) {
   });
   world.run();
   const auto& net = dynamic_cast<const core::AgasNet&>(world.gas());
-  const auto e = const_cast<net::NicTlb&>(net.tlb(0)).lookup(block.block_key());
-  ASSERT_TRUE(e.has_value());
+  const auto* e = net.tlb(0).peek(block.block_key());
+  ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->owner, 5);  // repaired by the ack's piggyback
   EXPECT_GE(world.counters().nic_forwards, 1u);
 }
@@ -159,12 +160,66 @@ TEST(AgasNetWhitebox, FreeRemovesEveryEntry) {
   const auto& net = dynamic_cast<const core::AgasNet&>(world.gas());
   for (int n = 0; n < 4; ++n) {
     for (int b = 0; b < 4; ++b) {
-      EXPECT_FALSE(const_cast<net::NicTlb&>(net.tlb(n))
-                       .lookup(base.advanced(b * 256, 256).block_key())
-                       .has_value());
+      EXPECT_EQ(net.tlb(n).peek(base.advanced(b * 256, 256).block_key()),
+                nullptr);
     }
   }
 }
+
+// Every agas-net op lives in the manager's op slab from issue to
+// completion, so a quiescent world must leave it empty: on a clean wire
+// and on the lossy one (drops, duplicates, delays), with ops racing live
+// migrations. A lost completion shows up as a live op and fails the
+// quiescence audit that the InvariantObserver and mcheck run.
+class AgasNetSlabTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(AgasNetSlabTest, SlabIsEmptyAtQuiescence) {
+  Config cfg = Config::with_nodes(8, GasMode::kAgasNet);
+  if (GetParam()) apps::kv::arm_lossy_plan(cfg);
+  World world(cfg);
+  constexpr int kRounds = 24;
+  Gva base;
+  std::uint64_t total = 0;
+  world.spawn(0, [&](Context& ctx) -> Fiber {
+    base = alloc_cyclic(ctx, 8, 256);
+    rt::AndGate gate(7);
+    const rt::LcoRef gref = ctx.make_ref(gate);
+    for (int r = 1; r < 8; ++r) {
+      ctx.spawn(r, [base, gref, r](Context& c) -> Fiber {
+        for (int i = 0; i < kRounds; ++i) {
+          const Gva block = base.advanced(((r + i) % 8) * 256, 256);
+          (void)co_await fetch_add(c, block, 1);
+          co_await memput_value<std::uint64_t>(c, block.advanced(8 * r, 256), i);
+          (void)co_await memget_value<std::uint64_t>(c, block.advanced(8 * r, 256));
+        }
+        c.set_lco(gref);
+      });
+    }
+    for (int m = 0; m < 12; ++m) {
+      co_await migrate(ctx, base.advanced((m % 8) * 256, 256), (3 * m + 1) % 8);
+    }
+    co_await gate;
+    for (int b = 0; b < 8; ++b) {
+      total += co_await memget_value<std::uint64_t>(ctx, base.advanced(b * 256, 256));
+    }
+  });
+  world.run();
+  EXPECT_EQ(total, 7u * kRounds);  // every fetch_add landed exactly once
+  const auto& net = dynamic_cast<const core::AgasNet&>(world.gas());
+  EXPECT_EQ(net.live_ops(), 0u);
+  EXPECT_EQ(net.audit_quiescent(), "");
+  EXPECT_GE(world.counters().migrations, 1u);
+  if (GetParam()) {
+    EXPECT_GE(world.counters().faults_injected_drops +
+                  world.counters().faults_injected_dups,
+              1u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Wire, AgasNetSlabTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& p) {
+                           return p.param ? "lossy" : "clean";
+                         });
 
 // --- closed-form cost model ---------------------------------------------------
 
